@@ -33,16 +33,23 @@
 
 namespace effective {
 
+/// The runtime a dispatched check runs against, and a counter cell of
+/// it that the calling thread owns.
+struct CheckTarget {
+  Runtime &RT;
+  CheckCell &Cell;
+};
+
 /// One policy's check entry points. All functions are stateless — the
-/// session passes its runtime explicitly — so the five tables are
+/// session passes its target explicitly — so the five tables are
 /// immutable process-wide constants.
 struct CheckDispatch {
-  Bounds (*TypeCheck)(Runtime &RT, const void *Ptr,
+  Bounds (*TypeCheck)(const CheckTarget &To, const void *Ptr,
                       const TypeInfo *StaticType, SiteId Site);
-  Bounds (*BoundsGet)(Runtime &RT, const void *Ptr, SiteId Site);
-  void (*BoundsCheck)(Runtime &RT, const void *Ptr, size_t Size, Bounds B,
-                      SiteId Site);
-  Bounds (*BoundsNarrow)(Runtime &RT, Bounds B, const void *Field,
+  Bounds (*BoundsGet)(const CheckTarget &To, const void *Ptr, SiteId Site);
+  void (*BoundsCheck)(const CheckTarget &To, const void *Ptr, size_t Size,
+                      Bounds B, SiteId Site);
+  Bounds (*BoundsNarrow)(const CheckTarget &To, Bounds B, const void *Field,
                          size_t Size);
 };
 

@@ -19,48 +19,49 @@ namespace {
 /// arm the old per-check switch would have selected — no runtime
 /// branching on the policy remains anywhere in a check.
 template <CheckPolicy P> struct FrontEnd {
-  static Bounds typeCheck(Runtime &RT, const void *Ptr,
+  static Bounds typeCheck(const CheckTarget &To, const void *Ptr,
                           const TypeInfo *StaticType, SiteId Site) {
     if constexpr (P == CheckPolicy::Full || P == CheckPolicy::TypeOnly) {
-      return RT.typeCheck(Ptr, StaticType, Site);
+      return To.RT.typeCheck(Ptr, StaticType, Site, To.Cell);
     } else if constexpr (P == CheckPolicy::BoundsOnly) {
       // Section 6.2: the -bounds variant replaces type_check by
       // bounds_get.
-      return RT.boundsGet(Ptr, Site);
+      return To.RT.boundsGet(Ptr, Site, To.Cell);
     } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckCounters::bump(RT.counters().TypeChecks);
+      CheckCell::bump(To.Cell.TypeChecks);
       return Bounds::wide();
     } else {
       return Bounds::wide();
     }
   }
 
-  static Bounds boundsGet(Runtime &RT, const void *Ptr, SiteId Site) {
+  static Bounds boundsGet(const CheckTarget &To, const void *Ptr,
+                          SiteId Site) {
     if constexpr (P == CheckPolicy::Full || P == CheckPolicy::BoundsOnly) {
-      return RT.boundsGet(Ptr, Site);
+      return To.RT.boundsGet(Ptr, Site, To.Cell);
     } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckCounters::bump(RT.counters().BoundsGets);
+      CheckCell::bump(To.Cell.BoundsGets);
       return Bounds::wide();
     } else {
       return Bounds::wide();
     }
   }
 
-  static void boundsCheck(Runtime &RT, const void *Ptr, size_t Size,
-                          Bounds B, SiteId Site) {
+  static void boundsCheck(const CheckTarget &To, const void *Ptr,
+                          size_t Size, Bounds B, SiteId Site) {
     if constexpr (P == CheckPolicy::Full || P == CheckPolicy::BoundsOnly) {
-      RT.boundsCheck(Ptr, Size, B, Site);
+      To.RT.boundsCheck(Ptr, Size, B, Site, To.Cell);
     } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckCounters::bump(RT.counters().BoundsChecks);
+      CheckCell::bump(To.Cell.BoundsChecks);
     }
   }
 
-  static Bounds boundsNarrow(Runtime &RT, Bounds B, const void *Field,
-                             size_t Size) {
+  static Bounds boundsNarrow(const CheckTarget &To, Bounds B,
+                             const void *Field, size_t Size) {
     if constexpr (P == CheckPolicy::Full) {
-      return RT.boundsNarrow(B, Field, Size);
+      return To.RT.boundsNarrow(B, Field, Size, To.Cell);
     } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckCounters::bump(RT.counters().BoundsNarrows);
+      CheckCell::bump(To.Cell.BoundsNarrows);
       return B;
     } else {
       // BoundsOnly "protects object bounds only": rule-(e) narrowing

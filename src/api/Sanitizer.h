@@ -140,26 +140,53 @@ public:
   /// Runtime::typeCheck for the inline-cache contract).
   Bounds typeCheck(const void *Ptr, const TypeInfo *StaticType,
                    SiteId Site) {
-    return dispatch().TypeCheck(*RT, Ptr, StaticType, Site);
+    return RT->counters().count([=, this](CheckCell &Cell) {
+      return typeCheck(Ptr, StaticType, Site, {*RT, Cell});
+    });
   }
 
   /// type_check at the static type's pseudo-site.
   Bounds typeCheck(const void *Ptr, const TypeInfo *StaticType) {
-    return dispatch().TypeCheck(*RT, Ptr, StaticType,
-                                siteForType(StaticType));
+    return typeCheck(Ptr, StaticType, siteForType(StaticType));
   }
 
   Bounds boundsGet(const void *Ptr, SiteId Site = NoSite) {
-    return dispatch().BoundsGet(*RT, Ptr, Site);
+    return RT->counters().count([=, this](CheckCell &Cell) {
+      return boundsGet(Ptr, Site, {*RT, Cell});
+    });
   }
 
   void boundsCheck(const void *Ptr, size_t Size, Bounds B,
                    SiteId Site = NoSite) {
-    dispatch().BoundsCheck(*RT, Ptr, Size, B, Site);
+    RT->counters().count([=, this](CheckCell &Cell) {
+      boundsCheck(Ptr, Size, B, Site, {*RT, Cell});
+    });
   }
 
   Bounds boundsNarrow(Bounds B, const void *Field, size_t Size) {
-    return dispatch().BoundsNarrow(*RT, B, Field, Size);
+    return RT->counters().count([=, this](CheckCell &Cell) {
+      return boundsNarrow(B, Field, Size, {*RT, Cell});
+    });
+  }
+
+  /// The same checks against \p To: this session's runtime and a
+  /// counter cell of it that the calling thread owns (an OwnedCell over
+  /// counters()), held by a caller that checks in a loop — the
+  /// interpreters hold one per run.
+  Bounds typeCheck(const void *Ptr, const TypeInfo *StaticType, SiteId Site,
+                   const CheckTarget &To) {
+    return dispatch().TypeCheck(To, Ptr, StaticType, Site);
+  }
+  Bounds boundsGet(const void *Ptr, SiteId Site, const CheckTarget &To) {
+    return dispatch().BoundsGet(To, Ptr, Site);
+  }
+  void boundsCheck(const void *Ptr, size_t Size, Bounds B, SiteId Site,
+                   const CheckTarget &To) {
+    dispatch().BoundsCheck(To, Ptr, Size, B, Site);
+  }
+  Bounds boundsNarrow(Bounds B, const void *Field, size_t Size,
+                      const CheckTarget &To) {
+    return dispatch().BoundsNarrow(To, B, Field, Size);
   }
   /// @}
 

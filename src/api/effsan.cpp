@@ -386,14 +386,12 @@ void effsan_get_counters(const effsan_session *session,
 
 uint64_t effsan_type_check_cache_hits(const effsan_session *session) {
   auto *S = const_cast<effsan_session *>(session);
-  return S->S->counters().TypeCheckCacheHits.load(
-      std::memory_order_relaxed);
+  return S->S->counters().snapshot().TypeCheckCacheHits;
 }
 
 uint64_t effsan_type_check_cache_misses(const effsan_session *session) {
   auto *S = const_cast<effsan_session *>(session);
-  return S->S->counters().TypeCheckCacheMisses.load(
-      std::memory_order_relaxed);
+  return S->S->counters().snapshot().TypeCheckCacheMisses;
 }
 
 void effsan_get_heap_stats(const effsan_session *session,

@@ -116,7 +116,8 @@ class VM {
 public:
   VM(const Program &Prog, Runtime &RT, const RunOptions &Opts,
      Sanitizer *Session = nullptr)
-      : Prog(Prog), RT(RT), Session(Session), Opts(Opts), Guard(RT) {}
+      : Prog(Prog), RT(RT), Session(Session),
+        Cell(RT.counters()), Target{RT, *Cell}, Opts(Opts), Guard(RT) {}
 
   RunResult run(std::string_view Entry) {
     RunResult R;
@@ -186,23 +187,24 @@ private:
   }
   Bounds vmTypeCheck(const void *P, const TypeInfo *Type, SiteId Site) {
     Site = Site == NoSite ? siteForType(Type) : rebase(Site);
-    return Session ? Session->typeCheck(P, Type, Site)
-                   : RT.typeCheck(P, Type, Site);
+    return Session ? Session->typeCheck(P, Type, Site, Target)
+                   : RT.typeCheck(P, Type, Site, *Cell);
   }
   Bounds vmBoundsGet(const void *P, SiteId Site) {
     Site = rebase(Site);
-    return Session ? Session->boundsGet(P, Site) : RT.boundsGet(P, Site);
+    return Session ? Session->boundsGet(P, Site, Target)
+                   : RT.boundsGet(P, Site, *Cell);
   }
   void vmBoundsCheck(const void *P, size_t Size, Bounds B, SiteId Site) {
     Site = rebase(Site);
     if (Session)
-      Session->boundsCheck(P, Size, B, Site);
+      Session->boundsCheck(P, Size, B, Site, Target);
     else
-      RT.boundsCheck(P, Size, B, Site);
+      RT.boundsCheck(P, Size, B, Site, *Cell);
   }
   Bounds vmBoundsNarrow(Bounds B, const void *Field, size_t Size) {
-    return Session ? Session->boundsNarrow(B, Field, Size)
-                   : RT.boundsNarrow(B, Field, Size);
+    return Session ? Session->boundsNarrow(B, Field, Size, Target)
+                   : RT.boundsNarrow(B, Field, Size, *Cell);
   }
 
   //===--------------------------------------------------------------------===//
@@ -264,6 +266,10 @@ private:
   const Program &Prog;
   Runtime &RT;
   Sanitizer *Session;
+  /// The running thread's counter cell, found once per run, and the
+  /// session checks' target over it.
+  OwnedCell Cell;
+  CheckTarget Target;
   const RunOptions &Opts;
   SiteId SiteBase = NoSite;
 

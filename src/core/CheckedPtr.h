@@ -42,9 +42,17 @@ namespace effective {
 /// (setDefaultRuntime — how a test or embedder swaps the fallback for a
 /// private instance), then Runtime::global().
 /// @{
-inline Runtime *&currentRuntimeSlot() {
-  thread_local Runtime *Slot = nullptr;
-  return Slot;
+
+/// The thread-local binding: the scoped runtime and the counter cell
+/// the scope owns in it (both null when unbound).
+struct RuntimeBinding {
+  Runtime *RT = nullptr;
+  CheckCell *Cell = nullptr;
+};
+
+inline RuntimeBinding &currentBinding() {
+  thread_local RuntimeBinding Binding;
+  return Binding;
 }
 
 /// The injected process-wide fallback (null = Runtime::global()).
@@ -60,27 +68,64 @@ inline Runtime *setDefaultRuntime(Runtime *RT) {
   return defaultRuntimeSlot().exchange(RT, std::memory_order_acq_rel);
 }
 
-inline Runtime &currentRuntime() {
-  if (Runtime *RT = currentRuntimeSlot())
-    return *RT;
+/// The runtime of a thread with no scope binding.
+inline Runtime &fallbackRuntime() {
   if (Runtime *RT = defaultRuntimeSlot().load(std::memory_order_acquire))
     return *RT;
   return Runtime::global();
 }
 
-/// RAII binder for the current runtime.
+inline Runtime &currentRuntime() {
+  if (Runtime *RT = currentBinding().RT)
+    return *RT;
+  return fallbackRuntime();
+}
+
+namespace detail {
+/// The cold halves of CheckedPtr's checks, out of line so each
+/// instrumented access inlines only the bound thread's success path: a
+/// failed bounds check on the bound runtime, and an unbound thread's
+/// checks on the fallback runtime's per-call path. Bounds travel as two
+/// words so the caller's loop never spills them for the cold call.
+EFFSAN_NOINLINE inline Bounds
+typeCheckUnbound(const void *Ptr, const TypeInfo *(*StaticOf)(TypeContext &)) {
+  Runtime &RT = fallbackRuntime();
+  return RT.typeCheck(Ptr, StaticOf(RT.typeContext()));
+}
+EFFSAN_NOINLINE inline Bounds boundsGetUnbound(const void *Ptr) {
+  return fallbackRuntime().boundsGet(Ptr);
+}
+EFFSAN_NOINLINE inline void boundsCheckFailBound(const void *P, size_t Size,
+                                                 uintptr_t Lo, uintptr_t Hi) {
+  currentBinding().RT->boundsCheckFail(P, Size, Bounds{Lo, Hi}, NoSite);
+}
+EFFSAN_NOINLINE inline void boundsCheckUnbound(const void *P, size_t Size,
+                                               uintptr_t Lo, uintptr_t Hi) {
+  fallbackRuntime().boundsCheck(P, Size, Bounds{Lo, Hi});
+}
+EFFSAN_NOINLINE inline Bounds boundsNarrowUnbound(Bounds B, const void *Field,
+                                                  size_t Size) {
+  return fallbackRuntime().boundsNarrow(B, Field, Size);
+}
+} // namespace detail
+
+/// RAII binder for the current runtime. It owns a counter cell of the
+/// runtime for its lifetime (claiming the thread's slot), so CheckedPtr
+/// checks inside the scope count without looking the cell up.
 class RuntimeScope {
 public:
-  explicit RuntimeScope(Runtime &RT) : Saved(currentRuntimeSlot()) {
-    currentRuntimeSlot() = &RT;
+  explicit RuntimeScope(Runtime &RT)
+      : Saved(currentBinding()), Cell(RT.counters()) {
+    currentBinding() = {&RT, &*Cell};
   }
-  ~RuntimeScope() { currentRuntimeSlot() = Saved; }
+  ~RuntimeScope() { currentBinding() = Saved; }
 
   RuntimeScope(const RuntimeScope &) = delete;
   RuntimeScope &operator=(const RuntimeScope &) = delete;
 
 private:
-  Runtime *Saved;
+  RuntimeBinding Saved;
+  OwnedCell Cell;
 };
 /// @}
 
@@ -158,22 +203,12 @@ public:
   /// a raw pointer entering checked code — function parameter, call
   /// return, or pointer loaded from memory. Runs type_check (full) /
   /// bounds_get (bounds-only).
-  static CheckedPtr input(T *Ptr, Runtime &RT) {
-    CheckedPtr P;
-    P.Raw = Ptr;
-    if constexpr (Policy::CheckInputs && Policy::CheckCasts) {
-      if (Ptr)
-        P.B = RT.typeCheck(
-            Ptr, TypeOf<std::remove_cv_t<T>>::get(RT.typeContext()));
-    } else if constexpr (Policy::CheckInputs) {
-      if (Ptr)
-        P.B = RT.boundsGet(Ptr);
-    }
-    return P;
-  }
+  static CheckedPtr input(T *Ptr, Runtime &RT) { return inputOn(Ptr, RT); }
 
   /// Input event against the thread's current runtime.
-  static CheckedPtr input(T *Ptr) { return input(Ptr, currentRuntime()); }
+  EFFSAN_ALWAYS_INLINE static CheckedPtr input(T *Ptr) {
+    return inputOn(Ptr, currentBinding());
+  }
 
   /// Cast event (Figure 3 rule (d)): (T *)q for a source pointer of a
   /// different static type. Under TypePolicy this is the only
@@ -184,26 +219,11 @@ public:
   }
 
   /// Cast event from a raw pointer against an explicit runtime.
-  static CheckedPtr fromCast(T *Ptr, Runtime &RT) {
-    CheckedPtr P;
-    P.Raw = Ptr;
-    if constexpr (Policy::CheckCasts) {
-      Bounds Checked = Bounds::wide();
-      if (Ptr)
-        Checked = RT.typeCheck(
-            Ptr, TypeOf<std::remove_cv_t<T>>::get(RT.typeContext()));
-      if constexpr (Policy::StoresBounds)
-        P.B = Checked;
-    } else if constexpr (Policy::CheckInputs) {
-      if (Ptr)
-        P.B = RT.boundsGet(Ptr);
-    }
-    return P;
-  }
+  static CheckedPtr fromCast(T *Ptr, Runtime &RT) { return castOn(Ptr, RT); }
 
   /// Cast event against the thread's current runtime.
-  static CheckedPtr fromCast(T *Ptr) {
-    return fromCast(Ptr, currentRuntime());
+  EFFSAN_ALWAYS_INLINE static CheckedPtr fromCast(T *Ptr) {
+    return castOn(Ptr, currentBinding());
   }
 
   /// Wraps a pointer with explicitly known bounds (used by field
@@ -292,8 +312,7 @@ public:
   /// Escape event (rule (g)): the pointer is stored to memory or passed
   /// to uninstrumented code; its value must be in bounds.
   T *escape() const {
-    if constexpr (Policy::CheckBounds)
-      currentRuntime().boundsCheck(Raw, 0, B);
+    check(Raw, 0);
     return Raw;
   }
 
@@ -313,18 +332,89 @@ public:
 private:
   template <typename, typename> friend class CheckedPtr;
 
+  using StaticOf = TypeOf<std::remove_cv_t<T>>;
+
+  // The type_check and bounds_get of an input or cast event, against an
+  // explicit runtime (its per-call path) or the thread's binding (the
+  // scope's cell, or the out-of-line path when unbound).
+  static Bounds checkType(T *Ptr, Runtime &RT) {
+    return RT.typeCheck(Ptr, StaticOf::get(RT.typeContext()));
+  }
+  EFFSAN_ALWAYS_INLINE static Bounds checkType(T *Ptr,
+                                               const RuntimeBinding &Bound) {
+    if (EFFSAN_UNLIKELY(Bound.Cell == nullptr))
+      return detail::typeCheckUnbound(Ptr, &StaticOf::get);
+    const TypeInfo *Static = StaticOf::get(Bound.RT->typeContext());
+    return Bound.RT->typeCheck(Ptr, Static, siteForType(Static),
+                               *Bound.Cell);
+  }
+  static Bounds getBounds(T *Ptr, Runtime &RT) { return RT.boundsGet(Ptr); }
+  EFFSAN_ALWAYS_INLINE static Bounds getBounds(T *Ptr,
+                                               const RuntimeBinding &Bound) {
+    if (EFFSAN_UNLIKELY(Bound.Cell == nullptr))
+      return detail::boundsGetUnbound(Ptr);
+    return Bound.RT->boundsGet(Ptr, NoSite, *Bound.Cell);
+  }
+
+  template <typename On>
+  EFFSAN_ALWAYS_INLINE static CheckedPtr inputOn(T *Ptr, On &To) {
+    CheckedPtr P;
+    P.Raw = Ptr;
+    if constexpr (Policy::CheckInputs && Policy::CheckCasts) {
+      if (Ptr)
+        P.B = checkType(Ptr, To);
+    } else if constexpr (Policy::CheckInputs) {
+      if (Ptr)
+        P.B = getBounds(Ptr, To);
+    }
+    return P;
+  }
+
+  template <typename On>
+  EFFSAN_ALWAYS_INLINE static CheckedPtr castOn(T *Ptr, On &To) {
+    CheckedPtr P;
+    P.Raw = Ptr;
+    if constexpr (Policy::CheckCasts) {
+      Bounds Checked = Bounds::wide();
+      if (Ptr)
+        Checked = checkType(Ptr, To);
+      if constexpr (Policy::StoresBounds)
+        P.B = Checked;
+    } else if constexpr (Policy::CheckInputs) {
+      if (Ptr)
+        P.B = getBounds(Ptr, To);
+    }
+    return P;
+  }
+
+  // Bound threads count into the scope's cell; unbound ones take the
+  // fallback runtime's per-call path. bounds_check is open-coded
+  // (Runtime::boundsCheck's count and test), so the success path reads
+  // only the cell and reaches the runtime only on failure.
   EFFSAN_ALWAYS_INLINE void check(const void *P, size_t Size) const {
-    if constexpr (Policy::CheckBounds)
-      currentRuntime().boundsCheck(P, Size, B);
+    if constexpr (Policy::CheckBounds) {
+      CheckCell *Cell = currentBinding().Cell;
+      if (EFFSAN_LIKELY(Cell != nullptr)) {
+        CheckCell::bump(Cell->BoundsChecks);
+        if (EFFSAN_UNLIKELY(!B.contains(P, Size)))
+          detail::boundsCheckFailBound(P, Size, B.Lo, B.Hi);
+      } else {
+        detail::boundsCheckUnbound(P, Size, B.Lo, B.Hi);
+      }
+    }
   }
 
   BoundsT narrowed(const void *Field, size_t Size) const {
-    if constexpr (Policy::NarrowFields)
-      return currentRuntime().boundsNarrow(B, Field, Size);
-    else if constexpr (Policy::StoresBounds)
+    if constexpr (Policy::NarrowFields) {
+      const RuntimeBinding &Bound = currentBinding();
+      if (EFFSAN_LIKELY(Bound.Cell != nullptr))
+        return Bound.RT->boundsNarrow(B, Field, Size, *Bound.Cell);
+      return detail::boundsNarrowUnbound(B, Field, Size);
+    } else if constexpr (Policy::StoresBounds) {
       return B; // Rule (f)-style propagation: allocation bounds only.
-    else
+    } else {
       return BoundsT::wide();
+    }
   }
 
   T *Raw;

@@ -208,7 +208,7 @@ void *Runtime::stackAllocate(size_t Size, const TypeInfo *Type,
                               "resources exhausted"});
     return nullptr;
   }
-  CheckCounters::bump(ObjCounters.StackAllocs);
+  ObjectCounters::bump(ObjCounters.StackAllocs);
   if (EFFSAN_UNLIKELY(!Heap.isLowFat(Block)))
     return Block;
   auto *Meta = static_cast<MetaHeader *>(Block);
@@ -227,14 +227,14 @@ void Runtime::stackRelease(size_t Mark) {
   // use-after-return for as long as the quarantine delays reuse.
   for (const lowfat::StackPool::Record &R : Pool.blocksSince(Mark)) {
     if (R.Retire)
-      CheckCounters::bump(ObjCounters.StackRetired);
+      ObjectCounters::bump(ObjCounters.StackRetired);
     if (!Heap.isLowFat(R.Ptr))
       continue;
     auto *Meta = static_cast<MetaHeader *>(R.Ptr);
     Meta->Type = Ctx.getStackFree();
   }
   Pool.release(Mark);
-  CheckCounters::bump(ObjCounters.StackFrames);
+  ObjectCounters::bump(ObjCounters.StackFrames);
 }
 
 void *Runtime::globalAllocate(size_t Size, const TypeInfo *Type,
@@ -408,8 +408,9 @@ Bounds Runtime::typeCheckImpl(const void *Ptr, const TypeInfo *StaticType,
 }
 
 Bounds Runtime::typeCheckSlow(const void *Ptr, const TypeInfo *StaticType,
-                              SiteId Site, const MetaHeader *Meta) {
-  CheckCounters::bump(Counters.TypeCheckCacheMisses);
+                              SiteId Site, const MetaHeader *Meta,
+                              CheckCell &Cell) {
+  Cell.bump(Cell.TypeCheckCacheMisses);
   if (EFFSAN_UNLIKELY(obs::profileActive()))
     Prof.noteMiss(Site);
   EFFSAN_OBS_EVENT(CheckSlowPath, Shard, Site);
@@ -419,19 +420,20 @@ Bounds Runtime::typeCheckSlow(const void *Ptr, const TypeInfo *StaticType,
 }
 
 Bounds Runtime::typeCheckTimed(const void *Ptr, const TypeInfo *StaticType,
-                               SiteId Site) {
+                               SiteId Site, CheckCell &Cell) {
   // Classify the sampled check by whether it stayed on the inline-cache
   // hit path: any miss or legacy resolution bumps one of these two
-  // counters. Same-thread reads of the relaxed counters see the bump.
+  // counters of the calling thread's own cell, which no other thread
+  // writes.
   uint64_t SlowBefore =
-      Counters.TypeCheckCacheMisses.load(std::memory_order_relaxed) +
-      Counters.LegacyTypeChecks.load(std::memory_order_relaxed);
+      Cell.TypeCheckCacheMisses.load(std::memory_order_relaxed) +
+      Cell.LegacyTypeChecks.load(std::memory_order_relaxed);
   uint64_t Start = obs::now();
-  Bounds B = typeCheckBody(Ptr, StaticType, Site);
+  Bounds B = typeCheckBody(Ptr, StaticType, Site, Cell);
   uint64_t Ticks = obs::now() - Start;
   uint64_t SlowAfter =
-      Counters.TypeCheckCacheMisses.load(std::memory_order_relaxed) +
-      Counters.LegacyTypeChecks.load(std::memory_order_relaxed);
+      Cell.TypeCheckCacheMisses.load(std::memory_order_relaxed) +
+      Cell.LegacyTypeChecks.load(std::memory_order_relaxed);
   if (SlowAfter != SlowBefore)
     obs::checkSlowLatency().observe(Ticks);
   else
@@ -441,19 +443,21 @@ Bounds Runtime::typeCheckTimed(const void *Ptr, const TypeInfo *StaticType,
 
 Bounds Runtime::typeCheckUncached(const void *Ptr,
                                   const TypeInfo *StaticType) {
-  CheckCounters::bump(Counters.TypeChecks);
-  void *Base = Heap.allocationBase(Ptr);
-  if (!Base) {
-    CheckCounters::bump(Counters.LegacyTypeChecks);
-    return Bounds::wide();
-  }
-  return typeCheckImpl(Ptr, StaticType,
-                       static_cast<const MetaHeader *>(Base),
-                       /*Fill=*/nullptr, siteForType(StaticType));
+  return Counters.count([=, this](CheckCell &Cell) {
+    Cell.bump(Cell.TypeChecks);
+    void *Base = Heap.allocationBase(Ptr);
+    if (!Base) {
+      Cell.bump(Cell.LegacyTypeChecks);
+      return Bounds::wide();
+    }
+    return typeCheckImpl(Ptr, StaticType,
+                         static_cast<const MetaHeader *>(Base),
+                         /*Fill=*/nullptr, siteForType(StaticType));
+  });
 }
 
-Bounds Runtime::boundsGet(const void *Ptr, SiteId Site) {
-  CheckCounters::bump(Counters.BoundsGets);
+Bounds Runtime::boundsGet(const void *Ptr, SiteId Site, CheckCell &Cell) {
+  Cell.bump(Cell.BoundsGets);
   const MetaHeader *Meta = metaOf(Ptr);
   if (!Meta || !Meta->Type)
     return Bounds::wide();

@@ -28,6 +28,7 @@
 #define EFFECTIVE_CORE_RUNTIME_H
 
 #include "core/Bounds.h"
+#include "core/CheckCounters.h"
 #include "core/ErrorReporter.h"
 #include "core/Layout.h"
 #include "core/Meta.h"
@@ -45,85 +46,6 @@
 #include <memory>
 
 namespace effective {
-
-/// Dynamic check counters (the paper's Figure 7 "#Type" and "#Bounds"
-/// columns, plus the Section 6.1 legacy-pointer ratio). Relaxed atomics;
-/// negligible overhead on the benchmark machines this targets.
-struct CheckCounters {
-  std::atomic<uint64_t> TypeChecks{0};
-  std::atomic<uint64_t> LegacyTypeChecks{0};
-  std::atomic<uint64_t> BoundsChecks{0};
-  std::atomic<uint64_t> BoundsNarrows{0};
-  std::atomic<uint64_t> BoundsGets{0};
-  /// type_checks resolved by the site-indexed inline cache (fast path)
-  /// vs. the slow path (which includes checks on untyped/freed blocks
-  /// and type errors — anything past the META fetch that missed the
-  /// cache). Legacy (non-low-fat) checks hit neither bucket, so
-  /// Hits + Misses + LegacyTypeChecks == TypeChecks.
-  std::atomic<uint64_t> TypeCheckCacheHits{0};
-  std::atomic<uint64_t> TypeCheckCacheMisses{0};
-
-  /// Statistical increment: a relaxed non-RMW load+store instead of an
-  /// atomic RMW. bounds_check sits on every memory access, and a lock-
-  /// prefixed xadd there dominates the whole check (Figure 8 timings);
-  /// a plain add keeps it at a couple of cycles. Under concurrent
-  /// mutators an update can be lost, which only skews the statistics
-  /// by a negligible amount (error *detection* never depends on the
-  /// counters).
-  static EFFSAN_ALWAYS_INLINE void bump(std::atomic<uint64_t> &C) {
-    C.store(C.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
-  }
-
-  /// Plain-value snapshot.
-  struct Snapshot {
-    uint64_t TypeChecks = 0;
-    uint64_t LegacyTypeChecks = 0;
-    uint64_t BoundsChecks = 0;
-    uint64_t BoundsNarrows = 0;
-    uint64_t BoundsGets = 0;
-    uint64_t TypeCheckCacheHits = 0;
-    uint64_t TypeCheckCacheMisses = 0;
-
-    /// Field-wise accumulation — how the session pool and the
-    /// multi-threaded harness merge per-shard counters.
-    Snapshot &operator+=(const Snapshot &O) {
-      TypeChecks += O.TypeChecks;
-      LegacyTypeChecks += O.LegacyTypeChecks;
-      BoundsChecks += O.BoundsChecks;
-      BoundsNarrows += O.BoundsNarrows;
-      BoundsGets += O.BoundsGets;
-      TypeCheckCacheHits += O.TypeCheckCacheHits;
-      TypeCheckCacheMisses += O.TypeCheckCacheMisses;
-      return *this;
-    }
-
-    friend Snapshot operator+(Snapshot A, const Snapshot &B) {
-      A += B;
-      return A;
-    }
-  };
-
-  Snapshot snapshot() const {
-    return Snapshot{TypeChecks.load(std::memory_order_relaxed),
-                    LegacyTypeChecks.load(std::memory_order_relaxed),
-                    BoundsChecks.load(std::memory_order_relaxed),
-                    BoundsNarrows.load(std::memory_order_relaxed),
-                    BoundsGets.load(std::memory_order_relaxed),
-                    TypeCheckCacheHits.load(std::memory_order_relaxed),
-                    TypeCheckCacheMisses.load(std::memory_order_relaxed)};
-  }
-
-  void reset() {
-    TypeChecks.store(0, std::memory_order_relaxed);
-    LegacyTypeChecks.store(0, std::memory_order_relaxed);
-    BoundsChecks.store(0, std::memory_order_relaxed);
-    BoundsNarrows.store(0, std::memory_order_relaxed);
-    BoundsGets.store(0, std::memory_order_relaxed);
-    TypeCheckCacheHits.store(0, std::memory_order_relaxed);
-    TypeCheckCacheMisses.store(0, std::memory_order_relaxed);
-  }
-};
 
 /// Construction options for a Runtime.
 struct RuntimeOptions {
@@ -147,8 +69,9 @@ struct RuntimeOptions {
 };
 
 /// Typed stack/global object counters (the ABI's effsan_object_stats
-/// surface). Relaxed atomics, aggregated across every thread's stack
-/// pool by bumping at the Runtime entry points.
+/// surface): exact counts, aggregated across every thread's stack pool
+/// by a relaxed fetch_add at the Runtime entry points (these are not on
+/// the check path).
 struct ObjectCounters {
   /// Typed stack slots ever allocated (stackAllocate calls).
   std::atomic<uint64_t> StackAllocs{0};
@@ -156,6 +79,10 @@ struct ObjectCounters {
   std::atomic<uint64_t> StackFrames{0};
   /// Escaping slots retired through a use-after-return quarantine.
   std::atomic<uint64_t> StackRetired{0};
+
+  static void bump(std::atomic<uint64_t> &C) {
+    C.fetch_add(1, std::memory_order_relaxed);
+  }
 
   void reset() {
     StackAllocs.store(0, std::memory_order_relaxed);
@@ -262,25 +189,37 @@ public:
   /// without touching the layout hash table. Misses fall into the
   /// EFFSAN_NOINLINE slow path, which performs the full Figure 6 probe
   /// and refills the cache. Results are bit-identical either way.
+  ///
+  /// Every check entry point has an overload taking \p Cell, a counter
+  /// cell of this runtime that the calling thread owns (an OwnedCell
+  /// over counters()), for callers that check in a loop; the overloads
+  /// without it look the thread's cell up per call.
+  EFFSAN_ALWAYS_INLINE Bounds typeCheck(const void *Ptr,
+                                        const TypeInfo *StaticType,
+                                        SiteId Site, CheckCell &Cell) {
+    // The thread's own pre-increment count doubles as the latency
+    // sampler's decimator: with metrics armed, every 1024th check of
+    // each thread diverts through the timed (noinline) wrapper that
+    // feeds the latency histograms. The decimator tests BEFORE the
+    // flag — the mask test is on a value already in a register and is
+    // false 1023 times in 1024 whether or not metrics are armed, so
+    // arming changes the executed instruction stream only on the
+    // sampled checks (the flag load moves off the common path
+    // entirely). With observability compiled out the whole test folds
+    // to nothing.
+    uint64_t NChecks = Cell.bump(Cell.TypeChecks);
+    if (EFFSAN_UNLIKELY((NChecks & obs::CheckSampleMask) == 0 &&
+                        obs::metricsActive()))
+      return typeCheckTimed(Ptr, StaticType, Site, Cell);
+    return typeCheckBody(Ptr, StaticType, Site, Cell);
+  }
+
   EFFSAN_ALWAYS_INLINE Bounds typeCheck(const void *Ptr,
                                         const TypeInfo *StaticType,
                                         SiteId Site) {
-    // The bump is the usual non-RMW relaxed idiom, open-coded so the
-    // pre-increment count doubles as the latency sampler's decimator:
-    // with metrics armed, every 1024th check diverts through the timed
-    // (noinline) wrapper that feeds the latency histograms. The
-    // decimator tests BEFORE the flag — the mask test is on a value
-    // already in a register and is false 1023 times in 1024 whether or
-    // not metrics are armed, so arming changes the executed
-    // instruction stream only on the sampled checks (the flag load
-    // moves off the common path entirely). With observability compiled
-    // out the whole test folds to nothing.
-    uint64_t NChecks = Counters.TypeChecks.load(std::memory_order_relaxed);
-    Counters.TypeChecks.store(NChecks + 1, std::memory_order_relaxed);
-    if (EFFSAN_UNLIKELY((NChecks & obs::CheckSampleMask) == 0 &&
-                        obs::metricsActive()))
-      return typeCheckTimed(Ptr, StaticType, Site);
-    return typeCheckBody(Ptr, StaticType, Site);
+    return Counters.count([=, this](CheckCell &Cell) {
+      return typeCheck(Ptr, StaticType, Site, Cell);
+    });
   }
 
   /// typeCheck minus the TypeChecks bump and the sampling decimator:
@@ -289,10 +228,10 @@ public:
   /// line without friend gymnastics.
   EFFSAN_ALWAYS_INLINE Bounds typeCheckBody(const void *Ptr,
                                             const TypeInfo *StaticType,
-                                            SiteId Site) {
+                                            SiteId Site, CheckCell &Cell) {
     void *Base = Heap.allocationBase(Ptr);
     if (EFFSAN_UNLIKELY(!Base)) {
-      CheckCounters::bump(Counters.LegacyTypeChecks);
+      Cell.bump(Cell.LegacyTypeChecks);
       return Bounds::wide();
     }
     const auto *Meta = static_cast<const MetaHeader *>(Base);
@@ -335,16 +274,12 @@ public:
                      LayoutTable::normalizeOffsetRaw(P - ObjBase,
                                                      AllocSize, SzT,
                                                      Fam) == NK))) {
-              // Open-coded bump so the hit count doubles as the
-              // profiler's decimator (see ProfileSampleMask). The
-              // mask tests before the flag for the same reason as the
-              // latency sampler above: 15 hits in 16 skip both the
-              // flag load and the profiler whether or not profiling
-              // is armed.
-              uint64_t NHits = Counters.TypeCheckCacheHits.load(
-                  std::memory_order_relaxed);
-              Counters.TypeCheckCacheHits.store(
-                  NHits + 1, std::memory_order_relaxed);
+              // The thread's own hit count doubles as the profiler's
+              // decimator (see ProfileSampleMask). The mask tests
+              // before the flag for the same reason as the latency
+              // sampler above: 15 hits in 16 skip both the flag load
+              // and the profiler whether or not profiling is armed.
+              uint64_t NHits = Cell.bump(Cell.TypeCheckCacheHits);
               if (EFFSAN_UNLIKELY(
                       (NHits & obs::ProfileSampleMask) == 0 &&
                       obs::profileActive()))
@@ -357,7 +292,7 @@ public:
         }
       }
     }
-    return typeCheckSlow(Ptr, StaticType, Site, Meta);
+    return typeCheckSlow(Ptr, StaticType, Site, Meta, Cell);
   }
 
   /// type_check without an explicit site: probes the inline cache at
@@ -378,7 +313,12 @@ public:
   /// \p Site attributes any use-after-free it detects (the
   /// instrumentation-assigned id for interpreted checks, NoSite for
   /// unsited API paths).
-  Bounds boundsGet(const void *Ptr, SiteId Site = NoSite);
+  Bounds boundsGet(const void *Ptr, SiteId Site, CheckCell &Cell);
+  Bounds boundsGet(const void *Ptr, SiteId Site = NoSite) {
+    return Counters.count([=, this](CheckCell &Cell) {
+      return boundsGet(Ptr, Site, Cell);
+    });
+  }
 
   /// The paper's bounds_check (Figure 3 rule (g)): verifies the \p Size
   /// byte access at \p Ptr lies within \p B; reports otherwise. \p Site
@@ -386,18 +326,36 @@ public:
   /// for free and is only touched on the failing (noinline) path, so
   /// attribution costs the hot path nothing.
   EFFSAN_ALWAYS_INLINE void boundsCheck(const void *Ptr, size_t Size,
-                                        Bounds B, SiteId Site = NoSite) {
-    CheckCounters::bump(Counters.BoundsChecks);
+                                        Bounds B, SiteId Site,
+                                        CheckCell &Cell) {
+    Cell.bump(Cell.BoundsChecks);
     if (EFFSAN_UNLIKELY(!B.contains(Ptr, Size)))
       boundsCheckFail(Ptr, Size, B, Site);
   }
+  EFFSAN_ALWAYS_INLINE void boundsCheck(const void *Ptr, size_t Size,
+                                        Bounds B, SiteId Site = NoSite) {
+    Counters.count([=, this](CheckCell &Cell) {
+      boundsCheck(Ptr, Size, B, Site, Cell);
+    });
+  }
+
+  /// The failing half of boundsCheck: reports the access. Public for
+  /// CheckedPtr, which counts and tests inline.
+  EFFSAN_NOINLINE void boundsCheckFail(const void *Ptr, size_t Size,
+                                       Bounds B, SiteId Site);
 
   /// The paper's bounds_narrow (Figure 3 rule (e)): narrows \p B to the
   /// field at [\p Field, \p Field + \p Size).
   EFFSAN_ALWAYS_INLINE Bounds boundsNarrow(Bounds B, const void *Field,
-                                           size_t Size) {
-    CheckCounters::bump(Counters.BoundsNarrows);
+                                           size_t Size, CheckCell &Cell) {
+    Cell.bump(Cell.BoundsNarrows);
     return B.intersect(Bounds::forObject(Field, Size));
+  }
+  EFFSAN_ALWAYS_INLINE Bounds boundsNarrow(Bounds B, const void *Field,
+                                           size_t Size) {
+    return Counters.count([=, this](CheckCell &Cell) {
+      return boundsNarrow(B, Field, Size, Cell);
+    });
   }
   /// @}
 
@@ -444,14 +402,13 @@ public:
   SiteTableRegistry &siteTables() { return Sites; }
 
 private:
-  EFFSAN_NOINLINE void boundsCheckFail(const void *Ptr, size_t Size,
-                                       Bounds B, SiteId Site);
   /// The Figure 6 slow path: full layout probe (with the coercion
   /// fallbacks), error reporting, and cache refill. \p Meta is the
   /// non-null META header typeCheck already resolved.
   EFFSAN_NOINLINE Bounds typeCheckSlow(const void *Ptr,
                                        const TypeInfo *StaticType,
-                                       SiteId Site, const MetaHeader *Meta);
+                                       SiteId Site, const MetaHeader *Meta,
+                                       CheckCell &Cell);
   /// The latency sampler's landing pad: runs typeCheckBody under an
   /// obs::now() timer and observes the fast- or slow-path histogram
   /// (classified by whether the check left the inline-cache fast
@@ -459,7 +416,7 @@ private:
   /// inlined check.
   EFFSAN_NOINLINE Bounds typeCheckTimed(const void *Ptr,
                                         const TypeInfo *StaticType,
-                                        SiteId Site);
+                                        SiteId Site, CheckCell &Cell);
   /// Shared core of typeCheckSlow/typeCheckUncached; publishes the
   /// successful layout resolution into \p Fill's cache set (when
   /// non-null, the first way of the site's set); attributes any error

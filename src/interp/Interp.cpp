@@ -41,7 +41,8 @@ public:
   /// policy-independent).
   Interpreter(const Module &M, Runtime &RT, const RunOptions &Opts,
               Sanitizer *Session = nullptr)
-      : M(M), RT(RT), Session(Session), Opts(Opts), Guard(RT) {}
+      : M(M), RT(RT), Session(Session),
+        Cell(RT.counters()), Target{RT, *Cell}, Opts(Opts), Guard(RT) {}
 
   RunResult run(std::string_view Entry) {
     RunResult R;
@@ -363,29 +364,33 @@ private:
     // the session's registry); hand-built IR has none and takes the
     // type-derived pseudo-site instead.
     Site = Site == NoSite ? siteForType(Type) : rebase(Site);
-    return Session ? Session->typeCheck(P, Type, Site)
-                   : RT.typeCheck(P, Type, Site);
+    return Session ? Session->typeCheck(P, Type, Site, Target)
+                   : RT.typeCheck(P, Type, Site, *Cell);
   }
   Bounds vmBoundsGet(const void *P, SiteId Site) {
     Site = rebase(Site);
-    return Session ? Session->boundsGet(P, Site)
-                   : RT.boundsGet(P, Site);
+    return Session ? Session->boundsGet(P, Site, Target)
+                   : RT.boundsGet(P, Site, *Cell);
   }
   void vmBoundsCheck(const void *P, size_t Size, Bounds B, SiteId Site) {
     Site = rebase(Site);
     if (Session)
-      Session->boundsCheck(P, Size, B, Site);
+      Session->boundsCheck(P, Size, B, Site, Target);
     else
-      RT.boundsCheck(P, Size, B, Site);
+      RT.boundsCheck(P, Size, B, Site, *Cell);
   }
   Bounds vmBoundsNarrow(Bounds B, const void *Field, size_t Size) {
-    return Session ? Session->boundsNarrow(B, Field, Size)
-                   : RT.boundsNarrow(B, Field, Size);
+    return Session ? Session->boundsNarrow(B, Field, Size, Target)
+                   : RT.boundsNarrow(B, Field, Size, *Cell);
   }
   /// @}
 
   Runtime &RT;
   Sanitizer *Session;
+  /// The running thread's counter cell, found once per run, and the
+  /// session checks' target over it.
+  OwnedCell Cell;
+  CheckTarget Target;
   const RunOptions &Opts;
   /// Base the module's site table was rebased to at load (NoSite when
   /// the module has no sites).

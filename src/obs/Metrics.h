@@ -62,12 +62,13 @@ private:
 
 /// Log2-bucketed histogram: sample N lands in bucket bit_width(N),
 /// i.e. bucket i counts samples in [2^(i-1), 2^i - 1] (bucket 0 = the
-/// value 0). observe() uses the CheckCounters::bump idiom — relaxed
-/// non-RMW load+store instead of lock-prefixed xadd, so a sampled
-/// check path pays a handful of cycles, not three serialized RMWs.
-/// Concurrent observers can lose an update, which only skews the
-/// statistics (the latency sampler is already 1-in-1024); nothing
-/// correctness-bearing reads histograms.
+/// value 0). observe() is a relaxed non-RMW load+store instead of a
+/// lock-prefixed xadd, so a sampled check path pays a handful of
+/// cycles, not three serialized RMWs. Unlike the exact per-thread
+/// check counters (core/CheckCounters.h), a histogram is shared, so
+/// concurrent observers can lose an update, which only skews the
+/// statistics (the latency sampler is already 1-in-1024 per thread);
+/// nothing correctness-bearing reads histograms.
 class Histogram {
 public:
   static constexpr unsigned NumBuckets = 65;
@@ -149,9 +150,9 @@ private:
 };
 
 /// The two check-latency histograms fed by the Runtime's 1-in-1024
-/// type-check sampler, registered in the global registry. Units are
-/// raw TSC ticks (the sampler never multiplies on the hot path);
-/// divide by the calibrated tick rate offline.
+/// (per thread) type-check sampler, registered in the global registry.
+/// Units are raw TSC ticks (the sampler never multiplies on the hot
+/// path); divide by the calibrated tick rate offline.
 Histogram &checkFastLatency();
 Histogram &checkSlowLatency();
 

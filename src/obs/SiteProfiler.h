@@ -12,12 +12,13 @@
 /// the session's ErrorReporter and file:line:col resolved through the
 /// SiteTable at query time.
 ///
-/// The hot-path bump is the CheckCounters idiom: a relaxed non-RMW
-/// load+store (per-site counts tolerate rare lost increments in
-/// exchange for no lock-prefixed ops on the check path). Slot claims
-/// use one CAS the first time a site is seen; a claimed slot never
-/// changes owner until reset(). Collisions on the direct map are
-/// counted, not chained — profiling is a sampler, not an audit.
+/// The hot-path bump is a relaxed non-RMW load+store on a slot that
+/// every thread shares: unlike the exact per-thread check counters
+/// (core/CheckCounters.h), per-site counts tolerate rare lost
+/// increments in exchange for no lock-prefixed ops on the check path.
+/// Slot claims use one CAS the first time a site is seen; a claimed
+/// slot never changes owner until reset(). Collisions on the direct map
+/// are counted, not chained — profiling is a sampler, not an audit.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -58,8 +58,8 @@ enum ObsFlags : uint32_t {
   ProfileFlag = 1u << 2, ///< Count per-site hits/misses in SiteProfiler.
 };
 
-/// Every how many type checks the latency sampler diverts one check
-/// through the timed wrapper (power of two minus one; see
+/// Every how many type checks of each thread the latency sampler diverts
+/// one check through the timed wrapper (power of two minus one; see
 /// Runtime::typeCheck). The timed path costs two rdtscs plus the
 /// histogram bumps (~100 cycles) against a ~10-cycle average check, so
 /// 1-in-1024 keeps the amortized cost well under 1% while still
@@ -68,11 +68,11 @@ enum ObsFlags : uint32_t {
 /// second).
 inline constexpr uint64_t CheckSampleMask = 1023;
 
-/// Every how many inline-cache hits the site profiler records one
-/// (misses are recorded unconditionally — the slow path dwarfs the
-/// bump). Sampling keeps the profiler's table walk off the dominant
-/// fast path; hot-site RANKING is unaffected (hits scale uniformly),
-/// and a site's true hit count is approximately Hits * 16.
+/// Every how many inline-cache hits of each thread the site profiler
+/// records one (misses are recorded unconditionally — the slow path
+/// dwarfs the bump). Sampling keeps the profiler's table walk off the
+/// dominant fast path; hot-site RANKING is unaffected (hits scale
+/// uniformly), and a site's true hit count is approximately Hits * 16.
 inline constexpr uint64_t ProfileSampleMask = 15;
 
 #ifndef EFFSAN_OBS_OFF

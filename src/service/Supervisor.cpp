@@ -438,6 +438,9 @@ Supervisor::Lease Supervisor::lease(TenantId Id) {
   unsigned Shard = static_cast<unsigned>(Id & 0xffffffffu);
   if (Id == NoTenant || Shard >= NumShards)
     return Lease();
+  // The leasing thread checks through the session next: give it a
+  // counter cell of its own before the first check.
+  claimCounterSlot();
   // Budget inputs are sampled outside the registry lock; the registry
   // does the gating atomically against its own state.
   uint64_t LiveBytes = Pool.heap().shardStats(Shard).BlockBytesInUse;

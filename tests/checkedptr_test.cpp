@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 using namespace effective;
 
 namespace cp_test {
@@ -234,6 +237,32 @@ TEST_F(CheckedPtrTest, FieldNarrowingChainsThroughStructs) {
   *(V + 1) = 1;
   EXPECT_EQ(RT.reporter().numIssues(ErrorKind::BoundsError), 1u);
   deallocateChecked(RT, N);
+}
+
+TEST_F(CheckedPtrTest, ScopedThreadsCountExactly) {
+  // Each thread binds the runtime with its own RuntimeScope, which
+  // finds the thread's counter cell once; the Figure 4 check counts
+  // then add up exactly across threads.
+  auto A = allocateChecked<int, FullPolicy>(RT, 100);
+  for (int I = 0; I < 100; ++I)
+    A[I] = I;
+  RT.counters().reset();
+  constexpr int Workers = 4, Rounds = 500;
+  std::vector<std::thread> Threads;
+  for (int W = 0; W < Workers; ++W)
+    Threads.emplace_back([&] {
+      RuntimeScope Bind(RT);
+      for (int R = 0; R < Rounds; ++R)
+        EXPECT_EQ(checkedSum(CheckedPtr<int, FullPolicy>::input(A.raw()), 100),
+                  99 * 100 / 2);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  auto C = RT.counters().snapshot();
+  EXPECT_EQ(C.TypeChecks, uint64_t(Workers) * Rounds);
+  EXPECT_EQ(C.BoundsChecks, uint64_t(Workers) * Rounds * 100);
+  EXPECT_EQ(RT.reporter().numIssues(), 0u);
+  deallocateChecked(RT, A);
 }
 
 TEST_F(CheckedPtrTest, RuntimeScopeBindsCurrentRuntime) {

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -711,5 +712,91 @@ TEST_F(RuntimeTest, ConcurrentChecksAreSafe) {
     Th.join();
   EXPECT_EQ(RT.reporter().numIssues(), 0u);
   EXPECT_EQ(RT.counters().snapshot().TypeChecks, 4u * 5000u);
+  RT.deallocate(P);
+}
+
+//===----------------------------------------------------------------------===//
+// Exact per-thread check counters
+
+TEST_F(RuntimeTest, ExitedThreadsCountsStayInTheTotal) {
+  // Waves of short-lived threads: each wave's threads exit (returning
+  // their counter slots) before the next wave claims slots again, so
+  // the totals show that an exited thread's counts survive and a
+  // slot's next owner adds to them.
+  char *P = static_cast<char *>(RT.allocate(100 * 24, T));
+  constexpr unsigned Waves = 8, PerWave = 4, Checks = 1000;
+  for (unsigned W = 1; W <= Waves; ++W) {
+    std::vector<std::thread> Threads;
+    for (unsigned I = 0; I < PerWave; ++I)
+      Threads.emplace_back([&] {
+        for (unsigned J = 0; J < Checks; ++J) {
+          Bounds B = RT.typeCheck(P + (J % 100) * 24, T);
+          RT.boundsCheck(P + (J % 100) * 24, 4, B);
+        }
+      });
+    for (std::thread &Th : Threads)
+      Th.join();
+    auto C = RT.counters().snapshot();
+    EXPECT_EQ(C.TypeChecks, W * PerWave * Checks) << "after wave " << W;
+    EXPECT_EQ(C.BoundsChecks, W * PerWave * Checks) << "after wave " << W;
+    EXPECT_EQ(C.TypeCheckCacheHits + C.TypeCheckCacheMisses, C.TypeChecks);
+  }
+  RT.deallocate(P);
+}
+
+TEST_F(RuntimeTest, ReusedSlotAddsToItsCell) {
+  // A thread's slot returns to the free list when it exits and the
+  // most recently freed slot is handed out first: the next thread
+  // lands on the same cell and keeps adding to the exited thread's
+  // counts.
+  char *P = static_cast<char *>(RT.allocate(24, T));
+  auto CheckN = [&](unsigned N, unsigned &Slot) {
+    std::thread([&, N] {
+      Slot = claimCounterSlot();
+      for (unsigned I = 0; I < N; ++I)
+        RT.typeCheck(P, T);
+    }).join();
+  };
+  unsigned First = OverflowSlot, Second = OverflowSlot;
+  CheckN(100, First);
+  CheckN(50, Second);
+  ASSERT_NE(First, OverflowSlot);
+  EXPECT_EQ(Second, First);
+  EXPECT_EQ(CheckCounters::snapshotOf(RT.counters().cellAt(First)).TypeChecks,
+            150u);
+  EXPECT_EQ(RT.counters().snapshot().TypeChecks, 150u);
+  RT.deallocate(P);
+}
+
+TEST_F(RuntimeTest, ThreadsBeyondTheSlotsCountExactlyInTheOverflowCell) {
+  // More live threads than counter slots: the threads that find every
+  // slot taken share the overflow cell, whose fetch_add keeps the
+  // total exact.
+  char *P = static_cast<char *>(RT.allocate(100 * 24, T));
+  constexpr unsigned Threads = NumCounterSlots + 8, Checks = 2000;
+  std::barrier AllClaimed(Threads);
+  std::vector<unsigned> Slots(Threads, 0);
+  std::vector<std::thread> Pool;
+  for (unsigned W = 0; W < Threads; ++W)
+    Pool.emplace_back([&, W] {
+      Slots[W] = claimCounterSlot();
+      AllClaimed.arrive_and_wait(); // Every thread holds its slot.
+      for (unsigned I = 0; I < Checks; ++I) {
+        Bounds B = RT.typeCheck(P + (I % 100) * 24, T);
+        RT.boundsCheck(P + (I % 100) * 24, 4, B);
+      }
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  unsigned Overflowed = 0;
+  for (unsigned S : Slots)
+    Overflowed += S == OverflowSlot;
+  EXPECT_GE(Overflowed, Threads - NumCounterSlots);
+  auto C = RT.counters().snapshot();
+  EXPECT_EQ(C.TypeChecks, uint64_t(Threads) * Checks);
+  EXPECT_EQ(C.BoundsChecks, uint64_t(Threads) * Checks);
+  EXPECT_GE(CheckCounters::snapshotOf(
+                RT.counters().cellAt(OverflowSlot)).TypeChecks,
+            uint64_t(Threads - NumCounterSlots) * Checks);
   RT.deallocate(P);
 }
