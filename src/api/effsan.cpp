@@ -99,13 +99,7 @@ void effsan_options_init(effsan_options *options) {
 effsan_session *effsan_session_create(const effsan_options *options) {
   effsan_options Defaults;
   effsan_options_init(&Defaults);
-  // Tail-extension tolerance: read only the prefix the caller declared.
-  if (options) {
-    size_t N = options->struct_size;
-    if (N == 0 || N > sizeof(Defaults))
-      N = sizeof(Defaults);
-    std::memcpy(&Defaults, options, N);
-  }
+  effsan_detail::readFromCaller(options, Defaults);
 
   SessionOptions SessionOpts;
   SessionOpts.Policy = effsan_detail::policyFromValue(Defaults.policy);

@@ -156,16 +156,45 @@ inline void fillErrorV2(const ErrorInfo &Info, const char *Message,
   }
 }
 
-/// Fills the ABI's (growable, caller-sized) heap-stats struct from a
-/// lowfat::HeapStats snapshot: the library writes exactly the prefix
-/// the caller declared via struct_size.
-inline void fillHeapStats(const lowfat::HeapStats &In,
-                          effsan_heap_stats *Out) {
+/// The growable-struct contract of every caller-sized ABI struct
+/// (effsan_heap_stats and its kin): writes exactly the prefix of
+/// \p Full the caller declared in Out->struct_size, leaving that
+/// struct_size as declared. A caller built against a future, larger
+/// struct gets the tail this library predates zeroed, so unknown
+/// fields read as 0, never as stack garbage. A null \p Out, or one
+/// too short to hold struct_size, is left alone.
+template <typename T> void copyToCaller(const T &Full, T *Out) {
   if (!Out || Out->struct_size < sizeof(uint32_t))
     return;
+  uint32_t Declared = Out->struct_size;
+  size_t N = Declared;
+  if (N > sizeof(T)) {
+    std::memset(reinterpret_cast<char *>(Out) + sizeof(T), 0, N - sizeof(T));
+    N = sizeof(T);
+  }
+  std::memcpy(Out, &Full, N);
+  Out->struct_size = Declared;
+}
+
+/// The same contract for a struct the caller passes in: overlays the
+/// prefix the caller declared onto \p Defaults (all of it when
+/// struct_size is 0 or larger than this library's struct). A null \p In
+/// leaves \p Defaults as they are.
+template <typename T> void readFromCaller(const T *In, T &Defaults) {
+  if (!In)
+    return;
+  size_t N = In->struct_size;
+  if (N == 0 || N > sizeof(T))
+    N = sizeof(T);
+  std::memcpy(&Defaults, In, N);
+}
+
+/// Fills the caller-sized heap-stats struct from a lowfat::HeapStats
+/// snapshot.
+inline void fillHeapStats(const lowfat::HeapStats &In,
+                          effsan_heap_stats *Out) {
   effsan_heap_stats Full;
   std::memset(&Full, 0, sizeof(Full));
-  Full.struct_size = Out->struct_size;
   Full.block_bytes_in_use = In.BlockBytesInUse;
   Full.peak_block_bytes_in_use = In.PeakBlockBytesInUse;
   Full.num_allocs = In.NumAllocs;
@@ -176,28 +205,14 @@ inline void fillHeapStats(const lowfat::HeapStats &In,
   Full.magazine_refills = In.MagazineRefills;
   Full.steals = In.Steals;
   Full.exhaust_fallbacks = In.ExhaustFallbacks;
-  size_t N = Out->struct_size;
-  if (N > sizeof(Full)) {
-    // A caller built against a future, larger struct: zero the tail
-    // the library predates so every byte of the declared prefix is
-    // defined — unknown-to-us counters read as 0, never as stack
-    // garbage.
-    std::memset(reinterpret_cast<char *>(Out) + sizeof(Full), 0,
-                N - sizeof(Full));
-    N = sizeof(Full);
-  }
-  std::memcpy(Out, &Full, N);
+  copyToCaller(Full, Out);
 }
 
-/// Fills the ABI's (growable, caller-sized) stack/global object-stats
-/// struct from the runtime's counters, with the same prefix contract
-/// as fillHeapStats.
+/// Fills the caller-sized stack/global object-stats struct from the
+/// runtime's counters.
 inline void fillObjectStats(Runtime &RT, effsan_object_stats *Out) {
-  if (!Out || Out->struct_size < sizeof(uint32_t))
-    return;
   effsan_object_stats Full;
   std::memset(&Full, 0, sizeof(Full));
-  Full.struct_size = Out->struct_size;
   const ObjectCounters &C = RT.objectCounters();
   Full.stack_allocs = C.StackAllocs.load(std::memory_order_relaxed);
   Full.stack_frames = C.StackFrames.load(std::memory_order_relaxed);
@@ -208,13 +223,7 @@ inline void fillObjectStats(Runtime &RT, effsan_object_stats *Out) {
   Full.global_objects = NumGlobals;
   Full.global_bytes =
       RT.globals().totalBytes() - NumGlobals * sizeof(MetaHeader);
-  size_t N = Out->struct_size;
-  if (N > sizeof(Full)) {
-    std::memset(reinterpret_cast<char *>(Out) + sizeof(Full), 0,
-                N - sizeof(Full));
-    N = sizeof(Full);
-  }
-  std::memcpy(Out, &Full, N);
+  copyToCaller(Full, Out);
 }
 
 } // namespace effsan_detail

@@ -32,29 +32,8 @@ namespace {
 effsan_run_options normalizedRunOptions(const effsan_run_options *options) {
   effsan_run_options Defaults;
   effsan_run_options_init(&Defaults);
-  if (options) {
-    size_t N = options->struct_size;
-    if (N == 0 || N > sizeof(Defaults))
-      N = sizeof(Defaults);
-    std::memcpy(&Defaults, options, N);
-  }
+  effsan_detail::readFromCaller(options, Defaults);
   return Defaults;
-}
-
-/// Fills the caller-sized result prefix (same contract as
-/// effsan_heap_stats; see effsan_internal.h's fillHeapStats).
-void fillRunResult(const effsan_run_result &Full, effsan_run_result *Out) {
-  if (!Out || Out->struct_size < sizeof(uint32_t))
-    return;
-  size_t N = Out->struct_size;
-  if (N > sizeof(Full)) {
-    std::memset(reinterpret_cast<char *>(Out) + sizeof(Full), 0,
-                N - sizeof(Full));
-    N = sizeof(Full);
-  }
-  uint32_t Declared = Out->struct_size;
-  std::memcpy(Out, &Full, N);
-  Out->struct_size = Declared;
 }
 
 void setFault(effsan_run_result &R, const std::string &Message) {
@@ -82,7 +61,7 @@ int effsan_run_minic(effsan_session *session, const char *source,
 
   if (!session || !source) {
     setFault(Full, "null session or source");
-    fillRunResult(Full, out);
+    effsan_detail::copyToCaller(Full, out);
     return 0;
   }
 
@@ -106,7 +85,7 @@ int effsan_run_minic(effsan_session *session, const char *source,
                 std::to_string(D.Loc.Column) + ": " + D.Message;
     }
     setFault(Full, Message);
-    fillRunResult(Full, out);
+    effsan_detail::copyToCaller(Full, out);
     return 0;
   }
 
@@ -134,7 +113,7 @@ int effsan_run_minic(effsan_session *session, const char *source,
   if (Run.output && !R.Output.empty())
     Run.output(R.Output.data(), R.Output.size(), Run.output_user_data);
 
-  fillRunResult(Full, out);
+  effsan_detail::copyToCaller(Full, out);
   return 1;
 }
 

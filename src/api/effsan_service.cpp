@@ -13,8 +13,9 @@
 
 #include "api/effsan.h"
 #include "api/effsan_internal.h"
-#include "service/Supervisor.h"
+#include "service/ServiceCounters.h"
 
+#include <cstddef>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -78,14 +79,9 @@ void attachServiceCallbacks(effsan_service *S) {
 
 service::TenantQuota quotaFromC(const effsan_tenant_quota *quota) {
   service::TenantQuota Q;
-  if (!quota)
-    return Q;
   effsan_tenant_quota Full;
   std::memset(&Full, 0, sizeof(Full));
-  size_t N = quota->struct_size;
-  if (N == 0 || N > sizeof(Full))
-    N = sizeof(Full);
-  std::memcpy(&Full, quota, N);
+  effsan_detail::readFromCaller(quota, Full);
   Q.MaxAllocBytes = Full.max_alloc_bytes;
   Q.MaxErrorEvents = Full.max_error_events;
   Q.MaxChecks = Full.max_checks;
@@ -126,13 +122,7 @@ effsan_service *
 effsan_service_create(const effsan_service_options *options) {
   effsan_service_options Defaults;
   effsan_service_options_init(&Defaults);
-  // Tail-extension tolerance: read only the prefix the caller declared.
-  if (options) {
-    size_t N = options->struct_size;
-    if (N == 0 || N > sizeof(Defaults))
-      N = sizeof(Defaults);
-    std::memcpy(&Defaults, options, N);
-  }
+  effsan_detail::readFromCaller(options, Defaults);
 
   service::ServiceOptions Opts;
   Opts.Shards = Defaults.shards;
@@ -274,7 +264,6 @@ int effsan_service_tenant_stats(effsan_service *service,
     return 0;
   effsan_tenant_stats Full;
   std::memset(&Full, 0, sizeof(Full));
-  Full.struct_size = out->struct_size;
   Full.status = static_cast<uint32_t>(Snap.Status);
   Full.shard = Snap.Shard;
   Full.policy = effsan_detail::policyValue(service->Sup.tenantPolicy(tenant));
@@ -285,13 +274,7 @@ int effsan_service_tenant_stats(effsan_service *service,
   Full.checkouts_granted = Snap.LeasesGranted;
   Full.checkouts_refused = Snap.LeasesRefused;
   Full.checkouts_outstanding = Snap.LeasesOutstanding;
-  size_t N = out->struct_size;
-  if (N > sizeof(Full)) {
-    std::memset(reinterpret_cast<char *>(out) + sizeof(Full), 0,
-                N - sizeof(Full));
-    N = sizeof(Full);
-  }
-  std::memcpy(out, &Full, N);
+  effsan_detail::copyToCaller(Full, out);
   return 1;
 }
 
@@ -302,35 +285,19 @@ void effsan_service_get_stats(effsan_service *service,
   service::ServiceStats S = service->Sup.stats();
   effsan_service_stats Full;
   std::memset(&Full, 0, sizeof(Full));
-  Full.struct_size = out->struct_size;
-  Full.tenants_open = S.TenantsOpen;
-  Full.tenants_opened_total = S.TenantsOpenedTotal;
-  Full.tenants_evicted = S.TenantsEvicted;
-  Full.tenants_closed = S.TenantsClosed;
-  Full.checkouts_granted = S.LeasesGranted;
-  Full.checkouts_refused = S.LeasesRefused;
-  Full.drain_ticks = S.DrainTicks;
-  Full.drained_events = S.DrainedEvents;
-  Full.ring_overflows = S.RingOverflows;
-  Full.policy_degrades = S.PolicyDegrades;
-  Full.policy_restores = S.PolicyRestores;
-  Full.issues_found = S.IssuesFound;
-  Full.snapshots_emitted = S.SnapshotsEmitted;
-  Full.snapshots_skipped = S.SnapshotsSkipped;
-  Full.ring_fallbacks = S.RingFallbacks;
-  Full.ring_drops = S.RingDrops;
-  Full.drain_restarts = S.DrainRestarts;
-  Full.watchdog_checks = S.WatchdogChecks;
-  Full.health = static_cast<uint32_t>(S.Health);
-  size_t N = out->struct_size;
-  if (N > sizeof(Full)) {
-    // A caller built against a future, larger struct: zero the tail so
-    // every byte of the declared prefix is defined.
-    std::memset(reinterpret_cast<char *>(out) + sizeof(Full), 0,
-                N - sizeof(Full));
-    N = sizeof(Full);
+  // The counters are one run of uint64_t fields in table order, from
+  // tenants_open up to health.
+  using service::ServiceCounters;
+  constexpr size_t First = offsetof(effsan_service_stats, tenants_open);
+  static_assert(offsetof(effsan_service_stats, health) ==
+                First + ServiceCounters::NumStats * sizeof(uint64_t));
+  for (size_t I = 0; I < ServiceCounters::NumStats; ++I) {
+    uint64_t V = S.*ServiceCounters::Rows[I].Stat;
+    std::memcpy(reinterpret_cast<char *>(&Full) + First + I * sizeof(V), &V,
+                sizeof(V));
   }
-  std::memcpy(out, &Full, N);
+  Full.health = static_cast<uint32_t>(S.Health);
+  effsan_detail::copyToCaller(Full, out);
 }
 
 uint64_t effsan_service_tick(effsan_service *service) {

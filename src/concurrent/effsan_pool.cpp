@@ -98,13 +98,7 @@ void effsan_pool_options_init(effsan_pool_options *options) {
 effsan_pool *effsan_pool_create(const effsan_pool_options *options) {
   effsan_pool_options Defaults;
   effsan_pool_options_init(&Defaults);
-  // Tail-extension tolerance: read only the prefix the caller declared.
-  if (options) {
-    size_t N = options->struct_size;
-    if (N == 0 || N > sizeof(Defaults))
-      N = sizeof(Defaults);
-    std::memcpy(&Defaults, options, N);
-  }
+  effsan_detail::readFromCaller(options, Defaults);
 
   concurrent::PoolOptions PoolOpts;
   PoolOpts.Shards = Defaults.shards;

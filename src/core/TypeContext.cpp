@@ -160,10 +160,34 @@ TypeContext::TypeContext() {
   }
 }
 
+/// Deletes \p T as the subclass its kind names. TypeInfo has no vtable
+/// (a vptr in every type would cost the check paths), so a delete
+/// through the base pointer would be undefined.
+static void destroyType(TypeInfo *T) {
+  switch (T->kind()) {
+  case TypeKind::Pointer:
+    delete static_cast<PointerType *>(T);
+    return;
+  case TypeKind::Array:
+    delete static_cast<ArrayType *>(T);
+    return;
+  case TypeKind::Function:
+    delete static_cast<FunctionType *>(T);
+    return;
+  case TypeKind::Struct:
+  case TypeKind::Union:
+    delete static_cast<RecordType *>(T);
+    return;
+  default:
+    delete static_cast<PrimitiveType *>(T);
+    return;
+  }
+}
+
 TypeContext::~TypeContext() {
   for (TypeInfo *T : AllTypes) {
     delete T->Layout.load(std::memory_order_relaxed);
-    delete T;
+    destroyType(T);
   }
 }
 
@@ -340,7 +364,8 @@ RecordBuilder &RecordBuilder::addField(std::string_view Name,
   assert(!FamElement && "no fields may follow a flexible array member");
   assert(Type->size() > 0 && "field of incomplete type");
   FieldInfo Field;
-  Field.Name = Name;
+  // Interned now: the caller's view may not outlive this call.
+  Field.Name = Ctx.internString(Name);
   Field.Type = Type;
   Field.IsBase = IsBase;
   if (IsUnion) {

@@ -10,6 +10,7 @@
 #include "lowfat/SizeClass.h"
 #include "obs/Trace.h"
 #include "resilience/Fault.h"
+#include "service/ServiceCounters.h"
 
 #include <cassert>
 #include <chrono>
@@ -63,7 +64,7 @@ Supervisor::Supervisor(const ServiceOptions &Options)
       IntervalMicros(Options.DrainIntervalMicros
                          ? Options.DrainIntervalMicros
                          : 2000) {
-  initMetrics();
+  registerSeries();
   WatchdogEnabled = Options.EnableWatchdog;
   WatchdogMicros = Options.WatchdogIntervalMicros
                        ? Options.WatchdogIntervalMicros
@@ -357,11 +358,9 @@ uint64_t Supervisor::runTick() {
   // sample. Everything here is set/observe on preregistered metrics —
   // no allocation on the steady-state path.
   if (obs::metricsActive()) {
-    ServiceStats S = stats();
-    updateMetrics(S, Occupancy);
-    Metrics.RingOccupancyPctHist->observe(
-        static_cast<uint64_t>(Occupancy * 100.0));
-    Metrics.DrainTickTicks->observe(obs::now() - TickStart);
+    refreshSeries(Occupancy);
+    RingOccupancyPctHist->observe(static_cast<uint64_t>(Occupancy * 100.0));
+    DrainTickTicks->observe(obs::now() - TickStart);
   }
   EFFSAN_OBS_SPAN(DrainTick, ::effective::obs::NoShard, Events, TickStart);
 
@@ -513,24 +512,9 @@ void Supervisor::setSnapshotHook(void (*Hook)(const char *, void *),
 ServiceStats Supervisor::stats() {
   TenantRegistry::Totals T = Tenants.totals();
   ServiceStats S;
-  S.TenantsOpen = Tenants.occupied();
-  S.TenantsOpenedTotal = T.Opened;
-  S.TenantsEvicted = T.Evicted;
-  S.TenantsClosed = T.Closed;
-  S.LeasesGranted = T.LeasesGranted;
-  S.LeasesRefused = T.LeasesRefused;
-  S.DrainTicks = DrainTicks.load(std::memory_order_relaxed);
-  S.DrainedEvents = DrainedEvents.load(std::memory_order_relaxed);
-  S.RingOverflows = Pool.ringOverflows();
-  S.PolicyDegrades = PolicyDegrades.load(std::memory_order_relaxed);
-  S.PolicyRestores = PolicyRestores.load(std::memory_order_relaxed);
-  S.IssuesFound = Pool.reporter().numIssues();
-  S.SnapshotsEmitted = SnapshotsEmitted.load(std::memory_order_relaxed);
-  S.SnapshotsSkipped = SnapshotsSkipped.load(std::memory_order_relaxed);
-  S.RingFallbacks = Pool.ringFallbacks();
-  S.RingDrops = Pool.ringDrops();
-  S.DrainRestarts = DrainRestarts.load(std::memory_order_relaxed);
-  S.WatchdogChecks = WatchdogChecks.load(std::memory_order_relaxed);
+  for (const StatRow &Row : ServiceCounters::Rows)
+    if (Row.Read)
+      S.*Row.Stat = Row.Read(*this, T);
   S.Health = health();
   return S;
 }
@@ -558,20 +542,9 @@ uint64_t Supervisor::activitySignature() {
   };
   ServiceStats S = stats();
   uint64_t H = 0xcbf29ce484222325ull;
-  H = Mix(H, S.TenantsOpen);
-  H = Mix(H, S.TenantsOpenedTotal);
-  H = Mix(H, S.TenantsEvicted);
-  H = Mix(H, S.TenantsClosed);
-  H = Mix(H, S.LeasesGranted);
-  H = Mix(H, S.LeasesRefused);
-  H = Mix(H, S.DrainedEvents);
-  H = Mix(H, S.RingOverflows);
-  H = Mix(H, S.PolicyDegrades);
-  H = Mix(H, S.PolicyRestores);
-  H = Mix(H, S.IssuesFound);
-  H = Mix(H, S.RingFallbacks);
-  H = Mix(H, S.RingDrops);
-  H = Mix(H, S.DrainRestarts);
+  for (const StatRow &Row : ServiceCounters::Rows)
+    if (Row.Activity)
+      H = Mix(H, S.*Row.Stat);
   for (unsigned Shard = 0; Shard < NumShards; ++Shard)
     H = Mix(H, checkSumOf(Shard));
   lowfat::HeapStats HS = Pool.heap().stats();
@@ -585,155 +558,63 @@ uint64_t Supervisor::activitySignature() {
 // Metrics
 //===----------------------------------------------------------------------===//
 
-void Supervisor::initMetrics() {
-  Metrics.TenantsOpenedTotal = &Registry.counter(
-      "effsan_service_tenants_opened_total", "Tenant slots ever opened");
-  Metrics.TenantsEvictedTotal = &Registry.counter(
-      "effsan_service_tenants_evicted_total",
-      "Tenant evictions, including explicit closes");
-  Metrics.TenantsClosedTotal = &Registry.counter(
-      "effsan_service_tenants_closed_total", "Tenant slots fully recycled");
-  Metrics.LeasesGrantedTotal = &Registry.counter(
-      "effsan_service_leases_granted_total", "Shard leases granted");
-  Metrics.LeasesRefusedTotal = &Registry.counter(
-      "effsan_service_leases_refused_total",
-      "Shard leases refused at the quota gate");
-  Metrics.DrainTicksTotal = &Registry.counter(
-      "effsan_service_drain_ticks_total", "Drain-loop ticks completed");
-  Metrics.DrainedEventsTotal = &Registry.counter(
-      "effsan_service_drained_events_total",
-      "Error events drained from the pool ring");
-  Metrics.RingOverflowsTotal = &Registry.counter(
-      "effsan_service_ring_overflows_total",
-      "Error-ring pushes refused because the ring was full");
-  Metrics.PolicyDegradesTotal = &Registry.counter(
-      "effsan_service_policy_degrades_total", "Governor degrade steps");
-  Metrics.PolicyRestoresTotal = &Registry.counter(
-      "effsan_service_policy_restores_total", "Governor restore steps");
-  Metrics.IssuesFoundTotal = &Registry.counter(
-      "effsan_service_issues_found_total",
-      "Distinct issues in the central reporter");
-  Metrics.SnapshotsEmittedTotal = &Registry.counter(
-      "effsan_service_snapshots_emitted_total", "Snapshot hook invocations");
-  Metrics.SnapshotsSkippedTotal = &Registry.counter(
-      "effsan_service_snapshots_skipped_total",
-      "Snapshot cadences skipped by the dirty flag");
-  Metrics.RingFallbacksTotal = &Registry.counter(
-      "effsan_service_ring_fallbacks_total",
-      "Overflowed error events delivered via the locked fallback");
-  Metrics.RingDropsTotal = &Registry.counter(
-      "effsan_service_ring_drops_total",
-      "Overflowed error events dropped (opt-in accounted loss)");
-  Metrics.DrainRestartsTotal = &Registry.counter(
-      "effsan_service_drain_restarts_total",
-      "Dead drain threads restarted by the watchdog");
-  Metrics.WatchdogChecksTotal = &Registry.counter(
-      "effsan_service_watchdog_checks_total",
-      "Watchdog liveness checks performed");
-  Metrics.TypeChecksTotal = &Registry.counter(
-      "effsan_checks_total", "Dynamic checks executed", "kind=\"type\"");
-  Metrics.BoundsChecksTotal = &Registry.counter(
-      "effsan_checks_total", "Dynamic checks executed", "kind=\"bounds\"");
-  Metrics.BoundsNarrowsTotal =
-      &Registry.counter("effsan_checks_total", "Dynamic checks executed",
-                        "kind=\"bounds_narrow\"");
-  Metrics.BoundsGetsTotal = &Registry.counter(
-      "effsan_checks_total", "Dynamic checks executed", "kind=\"bounds_get\"");
-  Metrics.LegacyTypeChecksTotal =
-      &Registry.counter("effsan_checks_total", "Dynamic checks executed",
-                        "kind=\"legacy_type\"");
-  Metrics.CacheHitsTotal = &Registry.counter(
-      "effsan_check_cache_hits_total", "Type-check inline-cache hits");
-  Metrics.CacheMissesTotal = &Registry.counter(
-      "effsan_check_cache_misses_total", "Type-check inline-cache misses");
-  Metrics.HeapAllocsTotal =
-      &Registry.counter("effsan_heap_allocs_total", "Heap allocations");
-  Metrics.HeapFreesTotal =
-      &Registry.counter("effsan_heap_frees_total", "Heap frees");
-  Metrics.MagazineHitsTotal = &Registry.counter(
-      "effsan_heap_magazine_hits_total", "Allocations served from a TLS "
-                                         "magazine");
-  Metrics.MagazineRefillsTotal = &Registry.counter(
-      "effsan_heap_magazine_refills_total", "TLS magazine refills");
-  Metrics.StealsTotal = &Registry.counter("effsan_heap_steals_total",
-                                          "Cross-shard refill steals");
-  Metrics.TenantsOpen =
-      &Registry.gauge("effsan_service_tenants_open", "Occupied tenant slots");
-  Metrics.HealthState = &Registry.gauge(
-      "effsan_service_health",
-      "Service health state (0 healthy, 1 degraded, 2 critical)");
-  Metrics.RingOccupancyPct = &Registry.gauge(
-      "effsan_service_ring_occupancy_percent",
-      "Error-ring occupancy at the last tick start (percent)");
-  Metrics.BlockBytesInUse = &Registry.gauge(
-      "effsan_heap_block_bytes_in_use", "Live block bytes across shards");
-  Metrics.QuarantinedBytes = &Registry.gauge(
-      "effsan_heap_quarantined_bytes", "Bytes parked in free quarantine");
-  Metrics.DrainTickTicks = &Registry.histogram(
+void Supervisor::registerSeries() {
+  // Prometheus renders in registration order: every counter row, then
+  // every gauge row, each in table order.
+  Series.resize(ServiceCounters::NumRows);
+  for (bool Gauges : {false, true})
+    for (size_t I = 0; I < ServiceCounters::NumRows; ++I) {
+      const StatRow &Row = ServiceCounters::Rows[I];
+      if (Row.Gauge != Gauges)
+        continue;
+      if (Row.Gauge)
+        Series[I].G = &Registry.gauge(Row.Name, Row.Help, Row.Labels);
+      else
+        Series[I].C = &Registry.counter(Row.Name, Row.Help, Row.Labels);
+    }
+  DrainTickTicks = &Registry.histogram(
       "effsan_service_drain_tick_duration_ticks",
       "Drain tick wall duration (TSC ticks)");
-  Metrics.RingOccupancyPctHist = &Registry.histogram(
+  RingOccupancyPctHist = &Registry.histogram(
       "effsan_service_ring_occupancy_pct",
       "Error-ring occupancy sampled at tick start (percent)");
-  Metrics.ClassCarved.assign(lowfat::NumSizeClasses, nullptr);
+  ClassCarved.assign(lowfat::NumSizeClasses, nullptr);
 }
 
-void Supervisor::updateMetrics(const ServiceStats &S, double RingOccupancy) {
-  Metrics.TenantsOpenedTotal->set(S.TenantsOpenedTotal);
-  Metrics.TenantsEvictedTotal->set(S.TenantsEvicted);
-  Metrics.TenantsClosedTotal->set(S.TenantsClosed);
-  Metrics.LeasesGrantedTotal->set(S.LeasesGranted);
-  Metrics.LeasesRefusedTotal->set(S.LeasesRefused);
-  Metrics.DrainTicksTotal->set(S.DrainTicks);
-  Metrics.DrainedEventsTotal->set(S.DrainedEvents);
-  Metrics.RingOverflowsTotal->set(S.RingOverflows);
-  Metrics.PolicyDegradesTotal->set(S.PolicyDegrades);
-  Metrics.PolicyRestoresTotal->set(S.PolicyRestores);
-  Metrics.IssuesFoundTotal->set(S.IssuesFound);
-  Metrics.SnapshotsEmittedTotal->set(S.SnapshotsEmitted);
-  Metrics.SnapshotsSkippedTotal->set(S.SnapshotsSkipped);
-  Metrics.RingFallbacksTotal->set(S.RingFallbacks);
-  Metrics.RingDropsTotal->set(S.RingDrops);
-  Metrics.DrainRestartsTotal->set(S.DrainRestarts);
-  Metrics.WatchdogChecksTotal->set(S.WatchdogChecks);
-  Metrics.TenantsOpen->set(static_cast<int64_t>(S.TenantsOpen));
-  Metrics.HealthState->set(static_cast<int64_t>(S.Health));
-  Metrics.RingOccupancyPct->set(
-      static_cast<int64_t>(RingOccupancy * 100.0));
-
+void Supervisor::refreshSeries(double RingOccupancy) {
+  ServiceStats S = stats();
   CheckCounters::Snapshot C = Pool.counters();
-  Metrics.TypeChecksTotal->set(C.TypeChecks);
-  Metrics.LegacyTypeChecksTotal->set(C.LegacyTypeChecks);
-  Metrics.BoundsChecksTotal->set(C.BoundsChecks);
-  Metrics.BoundsNarrowsTotal->set(C.BoundsNarrows);
-  Metrics.BoundsGetsTotal->set(C.BoundsGets);
-  Metrics.CacheHitsTotal->set(C.TypeCheckCacheHits);
-  Metrics.CacheMissesTotal->set(C.TypeCheckCacheMisses);
-
   lowfat::LowFatHeap &Heap = Pool.heap().heap();
   lowfat::HeapStats HS = Heap.stats();
-  Metrics.HeapAllocsTotal->set(HS.NumAllocs);
-  Metrics.HeapFreesTotal->set(HS.NumFrees);
-  Metrics.MagazineHitsTotal->set(HS.MagazineHits);
-  Metrics.MagazineRefillsTotal->set(HS.MagazineRefills);
-  Metrics.StealsTotal->set(HS.Steals);
-  Metrics.BlockBytesInUse->set(static_cast<int64_t>(HS.BlockBytesInUse));
-  Metrics.QuarantinedBytes->set(static_cast<int64_t>(HS.QuarantinedBytes));
+  ServiceGauges G;
+  G.Health = static_cast<uint64_t>(S.Health);
+  G.RingOccupancyPct = static_cast<uint64_t>(RingOccupancy * 100.0);
+  for (size_t I = 0; I < ServiceCounters::NumRows; ++I) {
+    const StatRow &Row = ServiceCounters::Rows[I];
+    uint64_t V = Row.Stat       ? S.*Row.Stat
+                 : Row.Check    ? C.*Row.Check
+                 : Row.HeapStat ? HS.*Row.HeapStat
+                                : G.*Row.Live;
+    if (Series[I].G)
+      Series[I].G->set(static_cast<int64_t>(V));
+    else
+      Series[I].C->set(V);
+  }
 
   // Per-class occupancy: gauges materialize the first time a class
   // sees traffic, so an idle service renders no empty class series.
   for (unsigned I = 0; I < lowfat::NumSizeClasses; ++I) {
     uint64_t Carved = Heap.classCarvedBytes(I);
-    if (!Carved && !Metrics.ClassCarved[I])
+    if (!Carved && !ClassCarved[I])
       continue;
-    if (!Metrics.ClassCarved[I]) {
+    if (!ClassCarved[I]) {
       char Label[48];
       std::snprintf(Label, sizeof(Label), "class=\"%u\"", I);
-      Metrics.ClassCarved[I] = &Registry.gauge(
+      ClassCarved[I] = &Registry.gauge(
           "effsan_heap_class_carved_bytes",
           "Bytes carved from the class region (bump high-water)", Label);
     }
-    Metrics.ClassCarved[I]->set(static_cast<int64_t>(Carved));
+    ClassCarved[I]->set(static_cast<int64_t>(Carved));
   }
 }
 
@@ -741,7 +622,7 @@ std::string Supervisor::metricsText() {
   concurrent::ErrorRing &Ring = Pool.ring();
   double Occupancy = static_cast<double>(Ring.size()) /
                      static_cast<double>(Ring.capacity());
-  updateMetrics(stats(), Occupancy);
+  refreshSeries(Occupancy);
   std::string Out;
   Registry.render(Out);
   obs::MetricsRegistry::global().render(Out);
@@ -843,24 +724,9 @@ std::string Supervisor::snapshotJson() {
   Out += policyName(BasePolicy);
   Out += '"';
   appendField(Out, "drain_interval_usec", drainInterval());
-  appendField(Out, "tenants_open", S.TenantsOpen);
-  appendField(Out, "tenants_opened_total", S.TenantsOpenedTotal);
-  appendField(Out, "tenants_evicted", S.TenantsEvicted);
-  appendField(Out, "tenants_closed", S.TenantsClosed);
-  appendField(Out, "leases_granted", S.LeasesGranted);
-  appendField(Out, "leases_refused", S.LeasesRefused);
-  appendField(Out, "drain_ticks", S.DrainTicks);
-  appendField(Out, "drained_events", S.DrainedEvents);
-  appendField(Out, "ring_overflows", S.RingOverflows);
-  appendField(Out, "policy_degrades", S.PolicyDegrades);
-  appendField(Out, "policy_restores", S.PolicyRestores);
-  appendField(Out, "issues_found", S.IssuesFound);
-  appendField(Out, "snapshots_emitted", S.SnapshotsEmitted);
-  appendField(Out, "snapshots_skipped", S.SnapshotsSkipped);
-  appendField(Out, "ring_fallbacks", S.RingFallbacks);
-  appendField(Out, "ring_drops", S.RingDrops);
-  appendField(Out, "drain_restarts", S.DrainRestarts);
-  appendField(Out, "watchdog_checks", S.WatchdogChecks);
+  for (const StatRow &Row : ServiceCounters::Rows)
+    if (Row.Json)
+      appendField(Out, Row.Json, S.*Row.Stat);
   Out += ",\"health\":\"";
   Out += healthName(S.Health);
   Out += '"';

@@ -130,7 +130,8 @@ enum class ServiceHealth : uint8_t {
 /// Stable lower_snake name ("healthy", "degraded", "critical").
 const char *healthName(ServiceHealth H);
 
-/// Service-wide counters (plain values; see stats()).
+/// Service-wide counters (plain values; see stats()). Each uint64_t
+/// member has its row in service/ServiceCounters.h.
 struct ServiceStats {
   uint64_t TenantsOpen = 0;      ///< Occupied slots (open or evicted).
   uint64_t TenantsOpenedTotal = 0;
@@ -310,6 +311,7 @@ public:
 
 private:
   friend class Lease;
+  friend struct ServiceCounters;
 
   void drainLoop();
   /// The watchdog thread body: samples the drainer's liveness flag and
@@ -337,11 +339,12 @@ private:
   /// which advance even when the service is idle. Equal signatures
   /// mean an emission would duplicate the previous document.
   uint64_t activitySignature();
-  /// Registers the service's metric families in Registry (ctor).
-  void initMetrics();
-  /// Mirrors \p S + heap/check totals into the registry's counters and
-  /// gauges (drain tick when metrics are armed, and metricsText()).
-  void updateMetrics(const ServiceStats &S, double RingOccupancy);
+  /// Registers every ServiceCounters row in Registry (ctor).
+  void registerSeries();
+  /// Sets every registered series from stats(), the pool's check
+  /// counters and heap stats (drain tick when metrics are armed, and
+  /// metricsText()).
+  void refreshSeries(double RingOccupancy);
 
   concurrent::SessionPool Pool;
   unsigned NumShards;
@@ -381,49 +384,19 @@ private:
   std::atomic<uint64_t> SnapshotsEmitted{0};
   std::atomic<uint64_t> SnapshotsSkipped{0};
 
-  /// The service's metrics registry plus cached handles to its
-  /// families (registered once at construction; per-size-class carved
-  /// gauges are created lazily as classes see traffic).
+  /// The service's metrics registry and its handles: one per
+  /// ServiceCounters row (registered at construction, in that table's
+  /// order), the two tick histograms, and the per-size-class carved
+  /// gauges (created lazily as classes see traffic).
   obs::MetricsRegistry Registry;
-  struct ServiceMetrics {
-    obs::Counter *TenantsOpenedTotal = nullptr;
-    obs::Counter *TenantsEvictedTotal = nullptr;
-    obs::Counter *TenantsClosedTotal = nullptr;
-    obs::Counter *LeasesGrantedTotal = nullptr;
-    obs::Counter *LeasesRefusedTotal = nullptr;
-    obs::Counter *DrainTicksTotal = nullptr;
-    obs::Counter *DrainedEventsTotal = nullptr;
-    obs::Counter *RingOverflowsTotal = nullptr;
-    obs::Counter *PolicyDegradesTotal = nullptr;
-    obs::Counter *PolicyRestoresTotal = nullptr;
-    obs::Counter *IssuesFoundTotal = nullptr;
-    obs::Counter *SnapshotsEmittedTotal = nullptr;
-    obs::Counter *SnapshotsSkippedTotal = nullptr;
-    obs::Counter *RingFallbacksTotal = nullptr;
-    obs::Counter *RingDropsTotal = nullptr;
-    obs::Counter *DrainRestartsTotal = nullptr;
-    obs::Counter *WatchdogChecksTotal = nullptr;
-    obs::Counter *TypeChecksTotal = nullptr;
-    obs::Counter *LegacyTypeChecksTotal = nullptr;
-    obs::Counter *BoundsChecksTotal = nullptr;
-    obs::Counter *BoundsNarrowsTotal = nullptr;
-    obs::Counter *BoundsGetsTotal = nullptr;
-    obs::Counter *CacheHitsTotal = nullptr;
-    obs::Counter *CacheMissesTotal = nullptr;
-    obs::Counter *HeapAllocsTotal = nullptr;
-    obs::Counter *HeapFreesTotal = nullptr;
-    obs::Counter *MagazineHitsTotal = nullptr;
-    obs::Counter *MagazineRefillsTotal = nullptr;
-    obs::Counter *StealsTotal = nullptr;
-    obs::Gauge *TenantsOpen = nullptr;
-    obs::Gauge *HealthState = nullptr; ///< 0/1/2 = healthy/degraded/critical.
-    obs::Gauge *RingOccupancyPct = nullptr;
-    obs::Gauge *BlockBytesInUse = nullptr;
-    obs::Gauge *QuarantinedBytes = nullptr;
-    obs::Histogram *DrainTickTicks = nullptr;
-    obs::Histogram *RingOccupancyPctHist = nullptr;
-    std::vector<obs::Gauge *> ClassCarved; ///< Indexed by size class.
-  } Metrics;
+  struct SeriesHandle {
+    obs::Counter *C = nullptr;
+    obs::Gauge *G = nullptr;
+  };
+  std::vector<SeriesHandle> Series;
+  obs::Histogram *DrainTickTicks = nullptr;
+  obs::Histogram *RingOccupancyPctHist = nullptr;
+  std::vector<obs::Gauge *> ClassCarved; ///< Indexed by size class.
 
   /// Drain-thread machinery. TickLock orders poke/shutdown against the
   /// loop; InTick marks the window where the thread runs a tick with

@@ -79,8 +79,9 @@ template <typename P> uint64_t runSphinx3(Runtime &RT, unsigned Scale) {
   auto BestGauss = allocArray<int, P>(RT, NumStates);
 
   unsigned Frames = 30 * Scale;
-  for (int S = 0; S < NumStates; ++S)
-    Trellis[S] = S == 0 ? 0 : -1e30f;
+  // Both rows: frame 0 reads the row it does not write.
+  for (int S = 0; S < 2 * NumStates; ++S)
+    Trellis[S] = S % NumStates == 0 ? 0 : -1e30f;
 
   for (unsigned F = 0; F < Frames; ++F) {
     for (int D = 0; D < FeatDim; ++D)

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -571,6 +572,279 @@ TEST(ServiceTelemetryTest, SnapshotJsonDescribesTenants) {
   EXPECT_NE(Json.find("\"status\":\"open\""), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"error_events\":1"), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"drained_events\":1"), std::string::npos) << Json;
+}
+
+//===----------------------------------------------------------------------===//
+// Golden stats surfaces: every surface rendered from one fixed scenario
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One tenant on one shard, 7 bounds gets and 5 type checks, one
+/// out-of-bounds error, then a forced tick that drains it.
+constexpr int GoldenBoundsGets = 7;
+constexpr int GoldenTypeChecks = 5;
+
+/// The expected renderings of the scenario below.
+const char *const GoldenJson =
+    R"({"service":{"shards":1,"policy":"full","drain_interval_usec":60000000,)"
+    R"("tenants_open":1,"tenants_opened_total":1,"tenants_evicted":0,)"
+    R"("tenants_closed":0,"leases_granted":1,"leases_refused":0,)"
+    R"("drain_ticks":1,"drained_events":1,"ring_overflows":0,)"
+    R"("policy_degrades":0,"policy_restores":0,"issues_found":1,)"
+    R"("snapshots_emitted":0,"snapshots_skipped":0,"ring_fallbacks":0,)"
+    R"("ring_drops":0,"drain_restarts":0,"watchdog_checks":0,)"
+    R"("health":"healthy"},"tenants":[{"name":"golden","shard":0,)"
+    R"("status":"open","policy":"full","evict_reason":"none","checks":14,)"
+    R"("alloc_bytes":0,"error_events":1,"leases_granted":1,)"
+    R"("leases_refused":0,"leases_outstanding":0}]})";
+const char *const GoldenMetrics = R"golden(# HELP effsan_service_tenants_opened_total Tenant slots ever opened
+# TYPE effsan_service_tenants_opened_total counter
+effsan_service_tenants_opened_total 1
+# HELP effsan_service_tenants_evicted_total Tenant evictions, including explicit closes
+# TYPE effsan_service_tenants_evicted_total counter
+effsan_service_tenants_evicted_total 0
+# HELP effsan_service_tenants_closed_total Tenant slots fully recycled
+# TYPE effsan_service_tenants_closed_total counter
+effsan_service_tenants_closed_total 0
+# HELP effsan_service_leases_granted_total Shard leases granted
+# TYPE effsan_service_leases_granted_total counter
+effsan_service_leases_granted_total 1
+# HELP effsan_service_leases_refused_total Shard leases refused at the quota gate
+# TYPE effsan_service_leases_refused_total counter
+effsan_service_leases_refused_total 0
+# HELP effsan_service_drain_ticks_total Drain-loop ticks completed
+# TYPE effsan_service_drain_ticks_total counter
+effsan_service_drain_ticks_total 1
+# HELP effsan_service_drained_events_total Error events drained from the pool ring
+# TYPE effsan_service_drained_events_total counter
+effsan_service_drained_events_total 1
+# HELP effsan_service_ring_overflows_total Error-ring pushes refused because the ring was full
+# TYPE effsan_service_ring_overflows_total counter
+effsan_service_ring_overflows_total 0
+# HELP effsan_service_policy_degrades_total Governor degrade steps
+# TYPE effsan_service_policy_degrades_total counter
+effsan_service_policy_degrades_total 0
+# HELP effsan_service_policy_restores_total Governor restore steps
+# TYPE effsan_service_policy_restores_total counter
+effsan_service_policy_restores_total 0
+# HELP effsan_service_issues_found_total Distinct issues in the central reporter
+# TYPE effsan_service_issues_found_total counter
+effsan_service_issues_found_total 1
+# HELP effsan_service_snapshots_emitted_total Snapshot hook invocations
+# TYPE effsan_service_snapshots_emitted_total counter
+effsan_service_snapshots_emitted_total 0
+# HELP effsan_service_snapshots_skipped_total Snapshot cadences skipped by the dirty flag
+# TYPE effsan_service_snapshots_skipped_total counter
+effsan_service_snapshots_skipped_total 0
+# HELP effsan_service_ring_fallbacks_total Overflowed error events delivered via the locked fallback
+# TYPE effsan_service_ring_fallbacks_total counter
+effsan_service_ring_fallbacks_total 0
+# HELP effsan_service_ring_drops_total Overflowed error events dropped (opt-in accounted loss)
+# TYPE effsan_service_ring_drops_total counter
+effsan_service_ring_drops_total 0
+# HELP effsan_service_drain_restarts_total Dead drain threads restarted by the watchdog
+# TYPE effsan_service_drain_restarts_total counter
+effsan_service_drain_restarts_total 0
+# HELP effsan_service_watchdog_checks_total Watchdog liveness checks performed
+# TYPE effsan_service_watchdog_checks_total counter
+effsan_service_watchdog_checks_total 0
+# HELP effsan_checks_total Dynamic checks executed
+# TYPE effsan_checks_total counter
+effsan_checks_total{kind="type"} 5
+effsan_checks_total{kind="bounds"} 1
+effsan_checks_total{kind="bounds_narrow"} 0
+effsan_checks_total{kind="bounds_get"} 8
+effsan_checks_total{kind="legacy_type"} 0
+# HELP effsan_check_cache_hits_total Type-check inline-cache hits
+# TYPE effsan_check_cache_hits_total counter
+effsan_check_cache_hits_total 4
+# HELP effsan_check_cache_misses_total Type-check inline-cache misses
+# TYPE effsan_check_cache_misses_total counter
+effsan_check_cache_misses_total 1
+# HELP effsan_heap_allocs_total Heap allocations
+# TYPE effsan_heap_allocs_total counter
+effsan_heap_allocs_total 1
+# HELP effsan_heap_frees_total Heap frees
+# TYPE effsan_heap_frees_total counter
+effsan_heap_frees_total 1
+# HELP effsan_heap_magazine_hits_total Allocations served from a TLS magazine
+# TYPE effsan_heap_magazine_hits_total counter
+effsan_heap_magazine_hits_total 0
+# HELP effsan_heap_magazine_refills_total TLS magazine refills
+# TYPE effsan_heap_magazine_refills_total counter
+effsan_heap_magazine_refills_total 0
+# HELP effsan_heap_steals_total Cross-shard refill steals
+# TYPE effsan_heap_steals_total counter
+effsan_heap_steals_total 0
+# HELP effsan_service_tenants_open Occupied tenant slots
+# TYPE effsan_service_tenants_open gauge
+effsan_service_tenants_open 1
+# HELP effsan_service_health Service health state (0 healthy, 1 degraded, 2 critical)
+# TYPE effsan_service_health gauge
+effsan_service_health 0
+# HELP effsan_service_ring_occupancy_percent Error-ring occupancy at the last tick start (percent)
+# TYPE effsan_service_ring_occupancy_percent gauge
+effsan_service_ring_occupancy_percent 0
+# HELP effsan_heap_block_bytes_in_use Live block bytes across shards
+# TYPE effsan_heap_block_bytes_in_use gauge
+effsan_heap_block_bytes_in_use 0
+# HELP effsan_heap_quarantined_bytes Bytes parked in free quarantine
+# TYPE effsan_heap_quarantined_bytes gauge
+effsan_heap_quarantined_bytes 0
+# HELP effsan_service_drain_tick_duration_ticks Drain tick wall duration (TSC ticks)
+# TYPE effsan_service_drain_tick_duration_ticks histogram
+effsan_service_drain_tick_duration_ticks_bucket{le="0"} 0
+effsan_service_drain_tick_duration_ticks_bucket{le="+Inf"} 0
+effsan_service_drain_tick_duration_ticks_sum 0
+effsan_service_drain_tick_duration_ticks_count 0
+# HELP effsan_service_ring_occupancy_pct Error-ring occupancy sampled at tick start (percent)
+# TYPE effsan_service_ring_occupancy_pct histogram
+effsan_service_ring_occupancy_pct_bucket{le="0"} 0
+effsan_service_ring_occupancy_pct_bucket{le="+Inf"} 0
+effsan_service_ring_occupancy_pct_sum 0
+effsan_service_ring_occupancy_pct_count 0
+# HELP effsan_heap_class_carved_bytes Bytes carved from the class region (bump high-water)
+# TYPE effsan_heap_class_carved_bytes gauge
+effsan_heap_class_carved_bytes{class="3"} 96
+)golden";
+const char *const GoldenSvcShort =
+    "38 1 1 0 0 1 0 abababababababab abababababababab abababababababab "
+    "abababababababab abababababababab abababababababab "
+    "abababababababab abababababababab abababababababab "
+    "abababababababab abababababababab abababababababab "
+    "abababababababab";
+const char *const GoldenSvcExact = "a0 1 1 0 0 1 0 1 1 0 0 0 1 0 0 0 0 0 0 0";
+const char *const GoldenSvcBig =
+    "c0 1 1 0 0 1 0 1 1 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0";
+const char *const GoldenHeapShort =
+    "20 0 60 1 abababababababab abababababababab abababababababab "
+    "abababababababab abababababababab abababababababab "
+    "abababababababab";
+const char *const GoldenHeapExact = "58 0 60 1 1 0 0 0 0 0 0";
+const char *const GoldenHeapBig = "78 0 60 1 1 0 0 0 0 0 0 0 0 0 0";
+
+/// Every 8-byte word of \p Bytes, in hex, space-separated.
+std::string hexWords(const void *Bytes, size_t Size) {
+  std::string Out;
+  for (size_t I = 0; I + sizeof(uint64_t) <= Size; I += sizeof(uint64_t)) {
+    uint64_t W;
+    std::memcpy(&W, static_cast<const char *>(Bytes) + I, sizeof(W));
+    char Buf[24];
+    std::snprintf(Buf, sizeof(Buf), "%s%llx", I ? " " : "",
+                  static_cast<unsigned long long>(W));
+    Out += Buf;
+  }
+  return Out;
+}
+
+/// Calls \p Get on a buffer of \p Size bytes poisoned with \p Poison,
+/// after setting its struct_size to \p Declared; returns its words.
+template <typename T, typename Fn>
+std::string callerSized(Fn Get, size_t Declared, size_t Size,
+                        unsigned char Poison) {
+  alignas(T) unsigned char Buf[sizeof(T) + 32];
+  std::memset(Buf, Poison, sizeof(Buf));
+  uint32_t Declared32 = static_cast<uint32_t>(Declared);
+  std::memcpy(Buf, &Declared32, sizeof(Declared32));
+  Get(reinterpret_cast<T *>(Buf));
+  return hexWords(Buf, Size);
+}
+
+} // namespace
+
+TEST(ServiceGoldenTest, SnapshotJsonAndMetricsText) {
+  ServiceOptions Options = quietService(1);
+  Options.EnableWatchdog = false;
+  Supervisor Sup(Options);
+  TenantId T = Sup.openTenant("golden");
+  ASSERT_NE(T, NoTenant);
+  {
+    Supervisor::Lease L = Sup.lease(T);
+    ASSERT_TRUE(static_cast<bool>(L));
+    TypeContext &Ctx = L->types();
+    auto *P = static_cast<int *>(L->malloc(16 * sizeof(int), Ctx.getInt()));
+    for (int I = 0; I < GoldenBoundsGets; ++I)
+      L->boundsGet(P);
+    for (int I = 0; I < GoldenTypeChecks; ++I)
+      L->typeCheck(P, Ctx.getInt());
+    Bounds B = L->boundsGet(P);
+    L->boundsCheck(P + 16, sizeof(int), B);
+    L->free(P);
+  }
+  ASSERT_EQ(Sup.tick(), 1u);
+
+  EXPECT_EQ(Sup.snapshotJson(), GoldenJson);
+
+  // The Supervisor's own registry leads metricsText(); the process-wide
+  // registry after it depends on what else ran in this process.
+  std::string Text = Sup.metricsText();
+  std::string Own;
+  Sup.metrics().render(Own);
+  EXPECT_EQ(Text.compare(0, Own.size(), Own), 0);
+  EXPECT_EQ(Own, GoldenMetrics);
+}
+
+TEST(ServiceGoldenTest, AbiStatsAtThreeStructSizes) {
+  effsan_service_options Opts;
+  effsan_service_options_init(&Opts);
+  Opts.shards = 1;
+  Opts.log_errors = 0;
+  Opts.drain_interval_usec = 60'000'000;
+  Opts.disable_watchdog = 1;
+  effsan_service *Svc = effsan_service_create(&Opts);
+  ASSERT_NE(Svc, nullptr);
+  effsan_tenant T = effsan_service_tenant_open(Svc, "golden", nullptr);
+  ASSERT_NE(T, EFFSAN_NO_TENANT);
+  effsan_session *S = effsan_service_checkout(Svc, T);
+  ASSERT_NE(S, nullptr);
+  effsan_type IntTy = effsan_type_primitive(S, EFFSAN_PRIM_INT);
+  void *P = effsan_malloc(S, 16 * sizeof(int), IntTy);
+  ASSERT_NE(P, nullptr);
+  for (int I = 0; I < GoldenBoundsGets; ++I)
+    effsan_bounds_get(S, P);
+  for (int I = 0; I < GoldenTypeChecks; ++I)
+    effsan_type_check(S, P, IntTy);
+  effsan_bounds B = effsan_bounds_get(S, P);
+  effsan_bounds_check(S, static_cast<int *>(P) + 16, sizeof(int), B);
+  effsan_free(S, P);
+  ASSERT_NE(effsan_service_release(Svc, T), 0);
+  ASSERT_EQ(effsan_service_tick(Svc), 1u);
+
+  auto ServiceStats = [Svc](effsan_service_stats *Out) {
+    effsan_service_get_stats(Svc, Out);
+  };
+  auto HeapStats = [S](effsan_heap_stats *Out) {
+    effsan_get_heap_stats(S, Out);
+  };
+  constexpr size_t SvcSize = sizeof(effsan_service_stats);
+  constexpr size_t HeapSize = sizeof(effsan_heap_stats);
+  const size_t SvcShort = offsetof(effsan_service_stats, drain_ticks);
+  const size_t HeapShort = offsetof(effsan_heap_stats, num_frees);
+
+  // Short: the declared prefix is written, the rest keeps its poison.
+  EXPECT_EQ(callerSized<effsan_service_stats>(ServiceStats, SvcShort,
+                                              SvcSize, 0xAB),
+            GoldenSvcShort);
+  EXPECT_EQ(callerSized<effsan_heap_stats>(HeapStats, HeapShort, HeapSize,
+                                           0xAB),
+            GoldenHeapShort);
+  // Exact: every field.
+  EXPECT_EQ(callerSized<effsan_service_stats>(ServiceStats, SvcSize,
+                                              SvcSize, 0xAB),
+            GoldenSvcExact);
+  EXPECT_EQ(callerSized<effsan_heap_stats>(HeapStats, HeapSize, HeapSize,
+                                           0xAB),
+            GoldenHeapExact);
+  // Oversized: every field, and the unknown tail zeroed.
+  EXPECT_EQ(callerSized<effsan_service_stats>(ServiceStats, SvcSize + 32,
+                                              SvcSize + 32, 0xCD),
+            GoldenSvcBig);
+  EXPECT_EQ(callerSized<effsan_heap_stats>(HeapStats, HeapSize + 32,
+                                           HeapSize + 32, 0xCD),
+            GoldenHeapBig);
+
+  effsan_service_destroy(Svc);
 }
 
 TEST(ServiceTelemetryTest, SnapshotHookFiresEveryNTicks) {

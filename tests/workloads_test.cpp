@@ -97,6 +97,44 @@ INSTANTIATE_TEST_SUITE_P(AllSpec, SpecWorkloadTest,
                          specName);
 
 //===----------------------------------------------------------------------===//
+// sphinx3: the checksum reads no uninitialized memory
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+const Workload &workloadNamed(std::string_view Name) {
+  for (const Workload &W : specWorkloads())
+    if (Name == W.Info.Name)
+      return W;
+  ADD_FAILURE() << "no workload " << Name;
+  return specWorkloads().front();
+}
+
+/// The checksum of a second run on one session, whose heap hands the
+/// second run blocks the first one wrote.
+uint64_t warmChecksum(const Workload &W, PolicyKind Kind, unsigned Scale) {
+  SessionOptions Options;
+  Options.Policy = checkPolicyFor(Kind);
+  Options.Reporter.Mode = ReportMode::Count;
+  Sanitizer Session(TypeContext::global(), Options);
+  SanitizerScope Scope(Session);
+  auto Run = Kind == PolicyKind::None ? W.RunNone : W.RunFull;
+  Run(Session.runtime(), Scale);
+  return Run(Session.runtime(), Scale);
+}
+
+} // namespace
+
+TEST(Sphinx3Test, OneChecksumFreshAndWarmUnderNoneAndFull) {
+  const Workload &W = workloadNamed("sphinx3");
+  constexpr unsigned Scale = 4;
+  uint64_t Expected = runWorkload(W, PolicyKind::Full, Scale).Checksum;
+  EXPECT_EQ(runWorkload(W, PolicyKind::None, Scale).Checksum, Expected);
+  EXPECT_EQ(warmChecksum(W, PolicyKind::Full, Scale), Expected);
+  EXPECT_EQ(warmChecksum(W, PolicyKind::None, Scale), Expected);
+}
+
+//===----------------------------------------------------------------------===//
 // Figure 7 aggregate shape
 //===----------------------------------------------------------------------===//
 
