@@ -309,6 +309,9 @@ private:
     return (V);                                                                \
   } while (0)
 
+// Cache-line aligned: the dispatch loop's speed moved by about 5% with
+// its placement alone.
+EFFSAN_CODE_ALIGN(64)
 Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
                   size_t SlotBase) {
   Value Zero{0};

@@ -88,9 +88,10 @@ namespace detail {
 /// checks on the fallback runtime's per-call path. Bounds travel as two
 /// words so the caller's loop never spills them for the cold call.
 EFFSAN_NOINLINE inline Bounds
-typeCheckUnbound(const void *Ptr, const TypeInfo *(*StaticOf)(TypeContext &)) {
+typeCheckUnbound(const void *Ptr, ReflectedType (*StaticOf)(TypeContext &)) {
   Runtime &RT = fallbackRuntime();
-  return RT.typeCheck(Ptr, StaticOf(RT.typeContext()));
+  ReflectedType Static = StaticOf(RT.typeContext());
+  return RT.typeCheck(Ptr, Static.Type, Static.PseudoSite);
 }
 EFFSAN_NOINLINE inline Bounds boundsGetUnbound(const void *Ptr) {
   return fallbackRuntime().boundsGet(Ptr);
@@ -336,16 +337,18 @@ private:
 
   // The type_check and bounds_get of an input or cast event, against an
   // explicit runtime (its per-call path) or the thread's binding (the
-  // scope's cell, or the out-of-line path when unbound).
+  // scope's cell, or the out-of-line path when unbound). The static type
+  // and its pseudo-site come from the context's reflection slot.
   static Bounds checkType(T *Ptr, Runtime &RT) {
-    return RT.typeCheck(Ptr, StaticOf::get(RT.typeContext()));
+    ReflectedType Static = StaticOf::reflect(RT.typeContext());
+    return RT.typeCheck(Ptr, Static.Type, Static.PseudoSite);
   }
   EFFSAN_ALWAYS_INLINE static Bounds checkType(T *Ptr,
                                                const RuntimeBinding &Bound) {
     if (EFFSAN_UNLIKELY(Bound.Cell == nullptr))
-      return detail::typeCheckUnbound(Ptr, &StaticOf::get);
-    const TypeInfo *Static = StaticOf::get(Bound.RT->typeContext());
-    return Bound.RT->typeCheck(Ptr, Static, siteForType(Static),
+      return detail::typeCheckUnbound(Ptr, &StaticOf::reflect);
+    ReflectedType Static = StaticOf::reflect(Bound.RT->typeContext());
+    return Bound.RT->typeCheck(Ptr, Static.Type, Static.PseudoSite,
                                *Bound.Cell);
   }
   static Bounds getBounds(T *Ptr, Runtime &RT) { return RT.boundsGet(Ptr); }
@@ -427,7 +430,7 @@ private:
 template <typename T, typename Policy>
 CheckedPtr<T, Policy> allocateChecked(Runtime &RT, size_t Count = 1) {
   const TypeInfo *Type =
-      TypeOf<std::remove_cv_t<T>>::get(RT.typeContext());
+      TypeOf<std::remove_cv_t<T>>::reflect(RT.typeContext()).Type;
   void *Mem = RT.allocate(Count * sizeof(T), Type);
   if constexpr (Policy::StoresBounds)
     return CheckedPtr<T, Policy>::withBounds(

@@ -29,36 +29,68 @@
 
 #include "core/TypeContext.h"
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace effective {
 
 /// Primary template; specialized for every reflectable type. Using an
-/// unreflected record type is a compile-time error.
+/// unreflected record type is a compile-time error. Every
+/// specialization offers reflect(), the type with its pseudo-site (the
+/// type-check hot path), and get(), the type alone.
 template <typename T> struct TypeOf;
 
-#define EFFSAN_REFLECT_PRIMITIVE(TYPE, GETTER)                               \
+namespace detail {
+/// Base of the slotted TypeOf specializations (records, pointers,
+/// arrays, functions). The instantiation claims a process-wide slot id
+/// on first use; reflect() is then one relaxed load of the id plus the
+/// context's lock-free slot read. A miss (first use in this context)
+/// takes the out-of-line Derived::resolve, which builds and publishes.
+template <typename Derived> struct SlotReflected {
+  EFFSAN_ALWAYS_INLINE static ReflectedType reflect(TypeContext &Ctx) {
+    ReflectedType R = Ctx.reflected(Id.load(std::memory_order_relaxed));
+    if (EFFSAN_LIKELY(R.Type != nullptr))
+      return R;
+    return resolveSlow(Ctx);
+  }
+  static const TypeInfo *get(TypeContext &Ctx) { return reflect(Ctx).Type; }
+
+private:
+  EFFSAN_NOINLINE static ReflectedType resolveSlow(TypeContext &Ctx) {
+    return Derived::resolve(Ctx, TypeContext::claimSlotId(Id));
+  }
+  static inline std::atomic<uint32_t> Id{0};
+};
+} // namespace detail
+
+#define EFFSAN_REFLECT_PRIMITIVE(TYPE, KIND)                                 \
   template <> struct TypeOf<TYPE> {                                          \
-    static const TypeInfo *get(TypeContext &Ctx) { return Ctx.GETTER(); }    \
+    static ReflectedType reflect(TypeContext &Ctx) {                         \
+      return Ctx.reflectPrimitive(TypeKind::KIND);                           \
+    }                                                                        \
+    static const TypeInfo *get(TypeContext &Ctx) {                           \
+      return reflect(Ctx).Type;                                              \
+    }                                                                        \
   }
 
-EFFSAN_REFLECT_PRIMITIVE(void, getVoid);
-EFFSAN_REFLECT_PRIMITIVE(bool, getBool);
-EFFSAN_REFLECT_PRIMITIVE(char, getChar);
-EFFSAN_REFLECT_PRIMITIVE(signed char, getSChar);
-EFFSAN_REFLECT_PRIMITIVE(unsigned char, getUChar);
-EFFSAN_REFLECT_PRIMITIVE(short, getShort);
-EFFSAN_REFLECT_PRIMITIVE(unsigned short, getUShort);
-EFFSAN_REFLECT_PRIMITIVE(int, getInt);
-EFFSAN_REFLECT_PRIMITIVE(unsigned int, getUInt);
-EFFSAN_REFLECT_PRIMITIVE(long, getLong);
-EFFSAN_REFLECT_PRIMITIVE(unsigned long, getULong);
-EFFSAN_REFLECT_PRIMITIVE(long long, getLongLong);
-EFFSAN_REFLECT_PRIMITIVE(unsigned long long, getULongLong);
-EFFSAN_REFLECT_PRIMITIVE(float, getFloat);
-EFFSAN_REFLECT_PRIMITIVE(double, getDouble);
-EFFSAN_REFLECT_PRIMITIVE(long double, getLongDouble);
+EFFSAN_REFLECT_PRIMITIVE(void, Void);
+EFFSAN_REFLECT_PRIMITIVE(bool, Bool);
+EFFSAN_REFLECT_PRIMITIVE(char, Char);
+EFFSAN_REFLECT_PRIMITIVE(signed char, SChar);
+EFFSAN_REFLECT_PRIMITIVE(unsigned char, UChar);
+EFFSAN_REFLECT_PRIMITIVE(short, Short);
+EFFSAN_REFLECT_PRIMITIVE(unsigned short, UShort);
+EFFSAN_REFLECT_PRIMITIVE(int, Int);
+EFFSAN_REFLECT_PRIMITIVE(unsigned int, UInt);
+EFFSAN_REFLECT_PRIMITIVE(long, Long);
+EFFSAN_REFLECT_PRIMITIVE(unsigned long, ULong);
+EFFSAN_REFLECT_PRIMITIVE(long long, LongLong);
+EFFSAN_REFLECT_PRIMITIVE(unsigned long long, ULongLong);
+EFFSAN_REFLECT_PRIMITIVE(float, Float);
+EFFSAN_REFLECT_PRIMITIVE(double, Double);
+EFFSAN_REFLECT_PRIMITIVE(long double, LongDouble);
 
 #undef EFFSAN_REFLECT_PRIMITIVE
 
@@ -67,23 +99,26 @@ template <typename T> struct TypeOf<const T> : TypeOf<T> {};
 template <typename T> struct TypeOf<volatile T> : TypeOf<T> {};
 template <typename T> struct TypeOf<const volatile T> : TypeOf<T> {};
 
-template <typename T> struct TypeOf<T *> {
-  static const TypeInfo *get(TypeContext &Ctx) {
-    return Ctx.getPointer(TypeOf<T>::get(Ctx));
+template <typename T>
+struct TypeOf<T *> : detail::SlotReflected<TypeOf<T *>> {
+  static ReflectedType resolve(TypeContext &Ctx, uint32_t Id) {
+    return Ctx.publishReflected(Id, Ctx.getPointer(TypeOf<T>::get(Ctx)));
   }
 };
 
-template <typename T, size_t N> struct TypeOf<T[N]> {
-  static const TypeInfo *get(TypeContext &Ctx) {
-    return Ctx.getArray(TypeOf<T>::get(Ctx), N);
+template <typename T, size_t N>
+struct TypeOf<T[N]> : detail::SlotReflected<TypeOf<T[N]>> {
+  static ReflectedType resolve(TypeContext &Ctx, uint32_t Id) {
+    return Ctx.publishReflected(Id, Ctx.getArray(TypeOf<T>::get(Ctx), N));
   }
 };
 
 // All function types collapse to the generic function type (the paper
 // treats virtual function tables as arrays of generic functions).
-template <typename R, typename... A> struct TypeOf<R(A...)> {
-  static const TypeInfo *get(TypeContext &Ctx) {
-    return Ctx.getGenericFunction();
+template <typename R, typename... A>
+struct TypeOf<R(A...)> : detail::SlotReflected<TypeOf<R(A...)>> {
+  static ReflectedType resolve(TypeContext &Ctx, uint32_t Id) {
+    return Ctx.publishReflected(Id, Ctx.getGenericFunction());
   }
 };
 
@@ -117,6 +152,28 @@ private:
   RecordType *Record;
   std::vector<FieldInfo> Fields;
 };
+
+namespace detail {
+/// The first build of a reflected record in \p Ctx (the slow path of
+/// the EFFSAN_REFLECT_BODY specializations): \p AddFields adds the
+/// members to a fresh record, which is published once complete.
+template <typename AddFieldsFn>
+ReflectedType reflectRecord(TypeContext &Ctx, uint32_t Id, TypeKind Kind,
+                            std::string_view Tag, uint64_t Size,
+                            uint32_t Align, AddFieldsFn AddFields) {
+  auto Guard = Ctx.reflectGuard();
+  // Another thread may have finished the build while this one waited.
+  if (ReflectedType Known = Ctx.reflected(Id); Known.Type)
+    return Known;
+  // A self-referential record reaches its own in-progress build.
+  if (const TypeInfo *Self = Ctx.building(Id))
+    return {Self, siteForType(Self)};
+  ReflectBuilder Builder(Ctx, Kind, Tag);
+  Ctx.beginBuilding(Id, Builder.record());
+  AddFields(Builder);
+  return Ctx.publishReflected(Id, Builder.finish(Size, Align));
+}
+} // namespace detail
 
 } // namespace effective
 
@@ -183,28 +240,27 @@ private:
                    ::effective::TypeOf<decltype(TYPE::FIELD)>::get(Ctx),     \
                    offsetof(TYPE, FIELD));
 
-/* Concurrency: the fast path accepts only *complete* cached records;
- * a build is serialized by the context's recursive reflect guard, so
- * two threads reflecting TYPE first-use-concurrently agree on ONE
- * record (the loser of the race finds the winner's complete record on
- * its double-check), and no thread can observe a record whose fields
- * are still being written. The early setCached (before the fields) is
- * what lets a self-referential TYPE find its own in-progress record
- * through the plain getCached on the re-entrant path. */
+/* Concurrency: the specialization is slotted (detail::SlotReflected),
+ * so after the first build in a context reflect() is a lock-free slot
+ * read. The first build runs under the context's recursive reflect
+ * guard (detail::reflectRecord): two threads reflecting TYPE for the
+ * first time agree on ONE record (the loser finds the winner's
+ * published slot on its re-check), a self-referential TYPE finds its
+ * own in-progress record through TypeContext::building(), and the slot
+ * is published only once the record is complete, so no thread can
+ * observe a record whose fields are still being written. */
 #define EFFSAN_REFLECT_BODY(TYPE, KIND, PRELUDE, ...)                        \
-  template <> struct effective::TypeOf<TYPE> {                               \
-    static const ::effective::TypeInfo *get(::effective::TypeContext &Ctx) { \
-      static char CacheTag;                                                  \
-      if (const auto *Cached = Ctx.getCachedComplete(&CacheTag))             \
-        return Cached;                                                       \
-      auto ReflectGuard = Ctx.reflectGuard();                                \
-      if (const auto *Cached = Ctx.getCached(&CacheTag))                     \
-        return Cached;                                                       \
-      ::effective::ReflectBuilder Builder(Ctx, KIND, #TYPE);                 \
-      Ctx.setCached(&CacheTag, Builder.record());                            \
-      PRELUDE                                                                \
-      EFFSAN_PP_FOR_EACH(EFFSAN_REFLECT_FIELD, TYPE, __VA_ARGS__)            \
-      return Builder.finish(sizeof(TYPE), alignof(TYPE));                    \
+  template <>                                                                \
+  struct effective::TypeOf<TYPE>                                             \
+      : ::effective::detail::SlotReflected<::effective::TypeOf<TYPE>> {      \
+    static ::effective::ReflectedType resolve(::effective::TypeContext &Ctx, \
+                                              uint32_t Id) {                 \
+      return ::effective::detail::reflectRecord(                             \
+          Ctx, Id, KIND, #TYPE, sizeof(TYPE), alignof(TYPE),                 \
+          [&](::effective::ReflectBuilder &Builder) {                        \
+            PRELUDE                                                          \
+            EFFSAN_PP_FOR_EACH(EFFSAN_REFLECT_FIELD, TYPE, __VA_ARGS__)      \
+          });                                                                \
     }                                                                        \
   }
 

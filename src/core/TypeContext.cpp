@@ -155,8 +155,9 @@ TypeContext::TypeContext() {
   for (const PrimitiveSpec &Spec : PrimitiveSpecs) {
     auto *T = new PrimitiveType(Spec.Kind, Spec.Size, Spec.Align);
     Primitives[static_cast<unsigned>(Spec.Kind)] = T;
+    PrimitiveSites[static_cast<unsigned>(Spec.Kind)] = siteForType(T);
     T->Context = this;
-  AllTypes.push_back(T);
+    AllTypes.push_back(T);
   }
 }
 
@@ -185,6 +186,8 @@ static void destroyType(TypeInfo *T) {
 }
 
 TypeContext::~TypeContext() {
+  for (std::atomic<TypeSlot *> &Chunk : SlotChunks)
+    delete[] Chunk.load(std::memory_order_relaxed);
   for (TypeInfo *T : AllTypes) {
     delete T->Layout.load(std::memory_order_relaxed);
     destroyType(T);
@@ -267,7 +270,7 @@ const FunctionType *TypeContext::getGenericFunction() {
                                /*Generic=*/true);
     GenericFunction = T;
     T->Context = this;
-  AllTypes.push_back(T);
+    AllTypes.push_back(T);
   }
   return GenericFunction;
 }
@@ -310,29 +313,66 @@ void TypeContext::defineRecord(RecordType *Record,
   Record->Complete = true;
 }
 
-const TypeInfo *TypeContext::getCached(const void *Key) const {
-  std::lock_guard<std::mutex> Guard(Lock);
-  auto It = ReflectCache.find(Key);
-  return It == ReflectCache.end() ? nullptr : It->second;
+uint32_t TypeContext::claimSlotId(std::atomic<uint32_t> &Id) {
+  static std::atomic<uint32_t> NextId{1};
+  uint32_t Current = Id.load(std::memory_order_relaxed);
+  if (Current)
+    return Current;
+  // A racing claimant may win; the loser's fresh id stays unused.
+  uint32_t Fresh = NextId.fetch_add(1, std::memory_order_relaxed);
+  if (Id.compare_exchange_strong(Current, Fresh, std::memory_order_relaxed))
+    return Fresh;
+  return Current;
 }
 
-const TypeInfo *TypeContext::getCachedComplete(const void *Key) const {
-  std::lock_guard<std::mutex> Guard(Lock);
-  auto It = ReflectCache.find(Key);
-  if (It == ReflectCache.end())
-    return nullptr;
-  // Refuse a record another thread is still defining; Complete is
-  // written by defineRecord under this same mutex, so the read here is
-  // ordered. The caller falls back to the reflect guard and retries.
-  if (const auto *Rec = dyn_cast<RecordType>(It->second))
-    if (!Rec->isComplete())
-      return nullptr;
-  return It->second;
+ReflectedType TypeContext::publishReflected(uint32_t Id,
+                                            const TypeInfo *Type) {
+  assert(Id && "publishing an unclaimed slot id");
+  auto Guard = reflectGuard();
+  ReflectedType R{Type, siteForType(Type)};
+  if (isa<RecordType>(Type)) {
+    assert(cast<RecordType>(Type)->isComplete() &&
+           "only complete records are published");
+    assert(!Building.empty() && Building.back().first == Id &&
+           "published record was not the innermost build");
+    Building.pop_back();
+  } else if (!Building.empty()) {
+    // Possibly derived from a record this thread is still building; the
+    // next use resolves it again, to the same interned type.
+    return R;
+  }
+  auto [K, Index] = slotPosition(Id);
+  TypeSlot *Chunk = SlotChunks[K].load(std::memory_order_relaxed);
+  if (!Chunk) {
+    Chunk = new TypeSlot[size_t(FirstChunkSlots) << K];
+    SlotChunks[K].store(Chunk, std::memory_order_release);
+  }
+  TypeSlot &S = Chunk[Index];
+  assert((!S.Type.load(std::memory_order_relaxed) ||
+          S.Type.load(std::memory_order_relaxed) == Type) &&
+         "slot republished with another type");
+  S.PseudoSite.store(R.PseudoSite, std::memory_order_relaxed);
+  S.Type.store(Type, std::memory_order_release);
+  return R;
 }
 
-void TypeContext::setCached(const void *Key, const TypeInfo *Type) {
-  std::lock_guard<std::mutex> Guard(Lock);
-  ReflectCache.emplace(Key, Type);
+const TypeInfo *TypeContext::building(uint32_t Id) const {
+  for (const auto &[BuildId, Record] : Building)
+    if (BuildId == Id)
+      return Record;
+  return nullptr;
+}
+
+void TypeContext::beginBuilding(uint32_t Id, const TypeInfo *Record) {
+  Building.emplace_back(Id, Record);
+}
+
+size_t TypeContext::slotTableBytes() const {
+  size_t Bytes = 0;
+  for (unsigned K = 0; K < NumSlotChunks; ++K)
+    if (SlotChunks[K].load(std::memory_order_acquire))
+      Bytes += (size_t(FirstChunkSlots) << K) * sizeof(TypeSlot);
+  return Bytes;
 }
 
 std::string_view TypeContext::internString(std::string_view S) {

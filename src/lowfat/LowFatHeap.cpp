@@ -747,47 +747,11 @@ void LowFatHeap::flushPendingQuarantine(ThreadCache &TC) {
 // Metadata queries (unchanged arithmetic — the whole point)
 //===----------------------------------------------------------------------===//
 
-bool LowFatHeap::isLowFat(const void *Ptr) const {
-  uintptr_t P = reinterpret_cast<uintptr_t>(Ptr);
-  if (P < ArenaBase || P >= ArenaEnd)
-    return false;
-  // Only the already-allocated prefix of a shard's slice contains
-  // objects; a pointer at or beyond the slice's bump pointer was never
-  // handed out and is treated as legacy (a hardening refinement over
-  // the original allocator, which cannot make this distinction). This
-  // also means a one-past-the-end pointer of a shard's newest block
-  // degrades gracefully to legacy (wide bounds) rather than resolving
-  // to an unallocated block.
-  unsigned ClassIndex = regionIndexFor(P);
-  const Region &R = Regions[ClassIndex];
-  uint64_t Off = P - R.Begin;
-  if (EFFSAN_UNLIKELY(P >= R.UsableEnd))
-    return false; // Region tail no slice covers (or unserviceable class).
-  const SubRegion &Sub = subRegion(ClassIndex, subIndexFor(R, Off));
-  return P < Sub.Bump.load(std::memory_order_acquire);
-}
-
 size_t LowFatHeap::allocationSize(const void *Ptr) const {
   uintptr_t P = reinterpret_cast<uintptr_t>(Ptr);
   if (!isLowFat(Ptr))
     return SIZE_MAX;
   return classSize(regionIndexFor(P));
-}
-
-void *LowFatHeap::allocationBase(const void *Ptr) const {
-  uintptr_t P = reinterpret_cast<uintptr_t>(Ptr);
-  if (!isLowFat(Ptr))
-    return nullptr;
-  unsigned ClassIndex = regionIndexFor(P);
-  const Region &R = Regions[ClassIndex];
-  uint64_t Offset = P - R.Begin;
-  uint64_t Base = Offset - classModulo(ClassIndex, Offset);
-  // A pointer one-past-the-end of block N computes as the base of block
-  // N+1; that is the correct allocation for derived-pointer checks only
-  // if N+1 was allocated, which isLowFat() already established. (Shard
-  // slices are class-aligned, so N+1 is in the same slice as N whenever
-  // it was handed out.)
-  return reinterpret_cast<void *>(R.Begin + Base);
 }
 
 unsigned LowFatHeap::allocationClass(const void *Ptr) const {

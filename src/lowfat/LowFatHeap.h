@@ -79,6 +79,7 @@
 #define EFFECTIVE_LOWFAT_LOWFATHEAP_H
 
 #include "lowfat/SizeClass.h"
+#include "support/Compiler.h"
 
 #include <atomic>
 #include <cstddef>
@@ -201,8 +202,16 @@ public:
   void deallocate(void *Ptr);
 
   /// Returns true if \p Ptr points into the low-fat arena (including
-  /// one-past-the-end of an allocated block).
-  bool isLowFat(const void *Ptr) const;
+  /// one-past-the-end of an allocated block). Inline, like base(p), so
+  /// the type check's cache hit makes no call.
+  bool isLowFat(const void *Ptr) const {
+    uintptr_t P = reinterpret_cast<uintptr_t>(Ptr);
+    if (P < ArenaBase || P >= ArenaEnd)
+      return false;
+    unsigned ClassIndex = regionIndexFor(P);
+    const Region &R = Regions[ClassIndex];
+    return handedOut(P, ClassIndex, R, P - R.Begin);
+  }
 
   /// True if \p Ptr lies anywhere inside the reserved arena. The whole
   /// arena is demand-paged read/write, so accesses inside it are
@@ -220,7 +229,23 @@ public:
 
   /// The paper's base(p): the start of the allocated block for low-fat
   /// pointers, nullptr for legacy pointers.
-  void *allocationBase(const void *Ptr) const;
+  void *allocationBase(const void *Ptr) const {
+    uintptr_t P = reinterpret_cast<uintptr_t>(Ptr);
+    if (P < ArenaBase || P >= ArenaEnd)
+      return nullptr;
+    unsigned ClassIndex = regionIndexFor(P);
+    const Region &R = Regions[ClassIndex];
+    uint64_t Offset = P - R.Begin;
+    // A pointer one-past-the-end of block N computes as the base of
+    // block N+1; that is the correct allocation for derived-pointer
+    // checks only if N+1 was allocated, which handedOut() establishes.
+    // (Shard slices are class-aligned, so N+1 is in the same slice as N
+    // whenever it was handed out.)
+    uint64_t Base = Offset - classModulo(ClassIndex, Offset);
+    if (!handedOut(P, ClassIndex, R, Offset))
+      return nullptr;
+    return reinterpret_cast<void *>(R.Begin + Base);
+  }
 
   /// Size class index for a low-fat pointer. \pre isLowFat(Ptr).
   unsigned allocationClass(const void *Ptr) const;
@@ -391,6 +416,23 @@ private:
   void flushPendingQuarantine(ThreadCache &TC);
   /// Flushes every magazine and the quarantine batch of \p TC.
   void flushCache(ThreadCache &TC);
+
+  /// The rest of isLowFat() for in-arena \p P at offset \p Off of its
+  /// class region \p R. Only the already-allocated prefix of a shard's
+  /// slice contains objects; a pointer at or beyond the slice's bump
+  /// pointer was never handed out and is treated as legacy (a hardening
+  /// refinement over the original allocator, which cannot make this
+  /// distinction). This also means a one-past-the-end pointer of a
+  /// shard's newest block degrades gracefully to legacy (wide bounds)
+  /// rather than resolving to an unallocated block. The acquire load
+  /// pairs with bumpAlloc()'s release and resetShard()'s rewind.
+  bool handedOut(uintptr_t P, unsigned ClassIndex, const Region &R,
+                 uint64_t Off) const {
+    if (EFFSAN_UNLIKELY(P >= R.UsableEnd))
+      return false; // Region tail no slice covers (or unserviceable class).
+    const SubRegion &Sub = subRegion(ClassIndex, subIndexFor(R, Off));
+    return P < Sub.Bump.load(std::memory_order_acquire);
+  }
 
   unsigned regionIndexFor(uintptr_t P) const {
     return static_cast<unsigned>((P - ArenaBase) >> RegionShift);

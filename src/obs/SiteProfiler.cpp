@@ -27,10 +27,24 @@ void SiteProfiler::noteCold(Slot &S, uint32_t Site, bool Hit) {
   C.store(C.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
+SiteProfiler::Slot *SiteProfiler::allocateTable() {
+  Slot *Fresh = new Slot[NumSlots];
+  Slot *Expected = nullptr;
+  if (Table.compare_exchange_strong(Expected, Fresh,
+                                    std::memory_order_acq_rel,
+                                    std::memory_order_acquire))
+    return Fresh;
+  delete[] Fresh;
+  return Expected;
+}
+
 std::vector<SiteProfile> SiteProfiler::collect() const {
   std::vector<SiteProfile> All;
+  const Slot *T = Table.load(std::memory_order_acquire);
+  if (!T)
+    return All;
   for (size_t I = 0; I < NumSlots; ++I) {
-    const Slot &S = Table[I];
+    const Slot &S = T[I];
     uint32_t Key = S.Key.load(std::memory_order_relaxed);
     if (!Key)
       continue;
@@ -55,8 +69,9 @@ std::vector<SiteProfile> SiteProfiler::topSites(size_t N) const {
 }
 
 void SiteProfiler::reset() {
-  for (size_t I = 0; I < NumSlots; ++I) {
-    Slot &S = Table[I];
+  Slot *T = Table.load(std::memory_order_acquire);
+  for (size_t I = 0; T && I < NumSlots; ++I) {
+    Slot &S = T[I];
     S.Key.store(0, std::memory_order_relaxed);
     S.Hits.store(0, std::memory_order_relaxed);
     S.Misses.store(0, std::memory_order_relaxed);

@@ -30,7 +30,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace effective {
@@ -47,6 +46,9 @@ class SiteProfiler {
 public:
   static constexpr size_t DefaultSlots = 1024;
 
+  /// The table of \p Slots (rounded up to a power of two, at least 64)
+  /// is allocated on the first note, so a session that never profiles
+  /// pays no memory for it.
   explicit SiteProfiler(size_t Slots = DefaultSlots) {
     if (!compiledIn())
       return; // Zero slots: note*() bail on the empty table.
@@ -54,8 +56,11 @@ public:
     while (P < Slots)
       P <<= 1;
     NumSlots = P;
-    Table.reset(new Slot[P]);
   }
+  ~SiteProfiler() { delete[] Table.load(std::memory_order_relaxed); }
+
+  SiteProfiler(const SiteProfiler &) = delete;
+  SiteProfiler &operator=(const SiteProfiler &) = delete;
 
   EFFSAN_ALWAYS_INLINE void noteHit(uint32_t Site) { note(Site, true); }
   EFFSAN_ALWAYS_INLINE void noteMiss(uint32_t Site) { note(Site, false); }
@@ -86,7 +91,10 @@ private:
   EFFSAN_ALWAYS_INLINE void note(uint32_t Site, bool Hit) {
     if (EFFSAN_UNLIKELY(!NumSlots))
       return;
-    Slot &S = Table[(Site * 0x9e3779b9u) & (NumSlots - 1)];
+    Slot *T = Table.load(std::memory_order_acquire);
+    if (EFFSAN_UNLIKELY(!T))
+      T = allocateTable();
+    Slot &S = T[(Site * 0x9e3779b9u) & (NumSlots - 1)];
     if (EFFSAN_UNLIKELY(S.Key.load(std::memory_order_relaxed) != Site + 1))
       return noteCold(S, Site, Hit);
     std::atomic<uint64_t> &C = Hit ? S.Hits : S.Misses;
@@ -97,8 +105,12 @@ private:
   /// First sighting of a site (claim its slot) or a direct-map
   /// collision (count and drop).
   EFFSAN_NOINLINE void noteCold(Slot &S, uint32_t Site, bool Hit);
+  /// First armed note: publishes a zeroed table with one CAS (a racing
+  /// first note keeps the winner's and frees its own).
+  EFFSAN_NOINLINE Slot *allocateTable();
 
-  std::unique_ptr<Slot[]> Table;
+  /// Null until the first note.
+  std::atomic<Slot *> Table{nullptr};
   size_t NumSlots = 0;
   std::atomic<uint64_t> Conflicts{0};
 };

@@ -22,12 +22,18 @@
 #define EFFSAN_UNLIKELY(X) __builtin_expect(!!(X), 0)
 #define EFFSAN_ALWAYS_INLINE inline __attribute__((always_inline))
 #define EFFSAN_NOINLINE __attribute__((noinline))
+#define EFFSAN_CODE_ALIGN(N) __attribute__((aligned(N)))
 #else
 #define EFFSAN_LIKELY(X) (X)
 #define EFFSAN_UNLIKELY(X) (X)
 #define EFFSAN_ALWAYS_INLINE inline
 #define EFFSAN_NOINLINE
+#define EFFSAN_CODE_ALIGN(N)
 #endif
+
+/// EFFSAN_CODE_ALIGN(N) on a function definition starts its code on an
+/// N-byte boundary, so a hot loop's speed does not depend on how much
+/// code the linker happens to place before it.
 
 namespace effective {
 

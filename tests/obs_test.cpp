@@ -374,6 +374,29 @@ TEST(SiteProfilerTest, DirectMapCollisionsAreCountedNotChained) {
   EXPECT_EQ(Top[0].Hits, 1u);
 }
 
+TEST(SiteProfilerTest, FirstNotesRaceToPublishOneTable) {
+  if (!obs::compiledIn())
+    GTEST_SKIP() << "built with EFFSAN_OBS_OFF";
+  // The table is allocated by the first note; racing first notes must
+  // agree on one table, so no thread's counts land in a discarded one.
+  obs::SiteProfiler Prof(/*Slots=*/256);
+  EXPECT_TRUE(Prof.topSites(8).empty());
+  Prof.reset();
+  std::vector<std::thread> Threads;
+  for (uint32_t Site = 1; Site <= 4; ++Site)
+    Threads.emplace_back([&Prof, Site] {
+      for (int I = 0; I < 100; ++I)
+        Prof.noteHit(Site);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  std::vector<obs::SiteProfile> Top = Prof.topSites(8);
+  ASSERT_EQ(Top.size(), 4u);
+  for (const obs::SiteProfile &P : Top)
+    EXPECT_EQ(P.Hits, 100u) << "site " << P.Site;
+  EXPECT_EQ(Prof.conflicts(), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Runtime integration
 //===----------------------------------------------------------------------===//

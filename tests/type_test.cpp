@@ -9,6 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
+#include <new>
+#include <thread>
+#include <utility>
+#include <vector>
+
 using namespace effective;
 
 //===----------------------------------------------------------------------===//
@@ -207,6 +213,17 @@ struct VDerived : VBase {
   float DerivedVal;
 };
 
+/// Reflected only by the concurrent first-use test.
+struct Raced {
+  int A;
+  Raced *Next;
+  double D[3];
+};
+
+struct SelfRef {
+  SelfRef *Next;
+};
+
 } // namespace reflect_test
 
 EFFECTIVE_REFLECT(reflect_test::Account, Number, Balance);
@@ -215,6 +232,8 @@ EFFECTIVE_REFLECT_UNION(reflect_test::Scalar, I, D);
 EFFECTIVE_REFLECT_POLY(reflect_test::VBase, BaseVal);
 EFFECTIVE_REFLECT_DERIVED(reflect_test::VDerived, reflect_test::VBase,
                           DerivedVal);
+EFFECTIVE_REFLECT(reflect_test::Raced, A, Next, D);
+EFFECTIVE_REFLECT(reflect_test::SelfRef, Next);
 
 TEST(ReflectTest, Primitives) {
   TypeContext Ctx;
@@ -279,4 +298,112 @@ TEST(ReflectTest, DerivedClassEmbedsBase) {
   EXPECT_TRUE(D->fields()[0].IsBase);
   EXPECT_EQ(D->fields()[0].Offset, 0u);
   EXPECT_EQ(D->size(), sizeof(reflect_test::VDerived));
+}
+
+//===----------------------------------------------------------------------===//
+// Reflection slots
+//===----------------------------------------------------------------------===//
+
+TEST(ReflectSlotTest, ConcurrentFirstUseAgreesOnOneType) {
+  constexpr unsigned NumThreads = 8;
+  // The first round also races the process-wide slot-id claim; every
+  // round races the first build in a fresh context.
+  for (int Round = 0; Round < 20; ++Round) {
+    TypeContext Ctx;
+    std::barrier Start(NumThreads);
+    std::vector<std::pair<const TypeInfo *, const TypeInfo *>> Seen(
+        NumThreads);
+    std::vector<std::thread> Threads;
+    for (unsigned I = 0; I < NumThreads; ++I)
+      Threads.emplace_back([&, I] {
+        Start.arrive_and_wait();
+        Seen[I] = {TypeOf<reflect_test::Raced>::get(Ctx),
+                   TypeOf<reflect_test::Raced *>::get(Ctx)};
+      });
+    for (std::thread &T : Threads)
+      T.join();
+    const auto *Rec = cast<RecordType>(Seen[0].first);
+    EXPECT_TRUE(Rec->isComplete());
+    EXPECT_EQ(Rec->fields().size(), 3u);
+    EXPECT_EQ(Seen[0].second, Ctx.getPointer(Rec));
+    for (const auto &S : Seen) {
+      EXPECT_EQ(S.first, Seen[0].first);
+      EXPECT_EQ(S.second, Seen[0].second);
+    }
+  }
+}
+
+TEST(ReflectSlotTest, SelfReferentialRecord) {
+  TypeContext Ctx;
+  const auto *T = cast<RecordType>(TypeOf<reflect_test::SelfRef>::get(Ctx));
+  EXPECT_TRUE(T->isComplete());
+  ASSERT_EQ(T->fields().size(), 1u);
+  EXPECT_EQ(cast<PointerType>(T->fields()[0].Type)->pointee(), T);
+  ReflectedType Ptr = TypeOf<reflect_test::SelfRef *>::reflect(Ctx);
+  EXPECT_EQ(Ptr.Type, T->fields()[0].Type);
+  EXPECT_EQ(Ptr.PseudoSite, siteForType(Ptr.Type));
+}
+
+TEST(ReflectSlotTest, ContextRebuiltInPlaceGetsItsOwnTypes) {
+  alignas(TypeContext) unsigned char Storage[sizeof(TypeContext)];
+  auto *Old = new (Storage) TypeContext;
+  TypeOf<reflect_test::Account *>::get(*Old);
+  Old->~TypeContext();
+
+  // A slot table keyed by context address would hand the new context
+  // the dead one's (freed) types here instead of building its own.
+  auto *New = new (Storage) TypeContext;
+  size_t Before = New->numTypes();
+  const auto *T = cast<RecordType>(TypeOf<reflect_test::Account>::get(*New));
+  EXPECT_GT(New->numTypes(), Before) << "the record was built afresh";
+  EXPECT_EQ(&T->context(), New);
+  EXPECT_TRUE(T->isComplete());
+  ASSERT_EQ(T->fields().size(), 2u);
+  EXPECT_EQ(T->fields()[0].Type, New->getArray(New->getInt(), 8));
+  EXPECT_EQ(TypeOf<reflect_test::Account *>::get(*New),
+            New->getPointer(T));
+  New->~TypeContext();
+}
+
+namespace {
+/// Counts the arrays int[1..] whose reflected type or pseudo-site
+/// differs from the interned one.
+template <size_t... N>
+size_t misresolvedArrays(TypeContext &Ctx, std::index_sequence<N...>) {
+  size_t Wrong = 0;
+  ((Wrong += TypeOf<int[N + 1]>::get(Ctx) !=
+             Ctx.getArray(Ctx.getInt(), N + 1)),
+   ...);
+  ((Wrong += TypeOf<int[N + 1]>::reflect(Ctx).PseudoSite !=
+             siteForType(Ctx.getArray(Ctx.getInt(), N + 1))),
+   ...);
+  return Wrong;
+}
+} // namespace
+
+TEST(ReflectSlotTest, TypesBeyondTheFirstChunkResolve) {
+  TypeContext Ctx;
+  auto Arrays = std::make_index_sequence<TypeContext::FirstChunkSlots + 64>();
+  // The first pass builds and publishes, the second reads the slots.
+  EXPECT_EQ(misresolvedArrays(Ctx, Arrays), 0u);
+  EXPECT_EQ(misresolvedArrays(Ctx, Arrays), 0u);
+  EXPECT_GT(Ctx.slotTableBytes(),
+            TypeContext::FirstChunkSlots * sizeof(TypeContext::TypeSlot))
+      << "slot ids past the first chunk live in a second one";
+}
+
+TEST(ReflectSlotTest, NoSlotTableUntilANativeTypeIsReflected) {
+  TypeContext Ctx;
+  // Building types by hand and reflecting primitives needs no slot.
+  Ctx.getPointer(Ctx.getInt());
+  RecordBuilder B(Ctx, TypeKind::Struct, "Manual");
+  B.addField("X", Ctx.getInt());
+  B.finish();
+  EXPECT_EQ(TypeOf<int>::get(Ctx), Ctx.getInt());
+  EXPECT_EQ(TypeOf<const double>::reflect(Ctx).PseudoSite,
+            siteForType(Ctx.getDouble()));
+  EXPECT_EQ(Ctx.slotTableBytes(), 0u);
+
+  TypeOf<int *>::get(Ctx);
+  EXPECT_GT(Ctx.slotTableBytes(), 0u);
 }
