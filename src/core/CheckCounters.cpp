@@ -84,6 +84,7 @@ CheckCounters::Snapshot CheckCounters::snapshotOf(const CheckCell &C) {
 }
 
 CheckCounters::Snapshot CheckCounters::snapshot() const {
+  settlePendingChecks();
   Snapshot Sum = snapshotOf(Cells[OverflowSlot]);
   for (unsigned I = 0, E = slotsInUse(); I < E; ++I)
     Sum += snapshotOf(Cells[I]);
@@ -103,6 +104,7 @@ static void storeSnapshot(CheckCell &C, const CheckCounters::Snapshot &S) {
 }
 
 void CheckCounters::reset() {
+  settlePendingChecks();
   storeSnapshot(Cells[OverflowSlot], Snapshot());
   for (unsigned I = 0, E = slotsInUse(); I < E; ++I)
     storeSnapshot(Cells[I], Snapshot());

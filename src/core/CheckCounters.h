@@ -29,6 +29,30 @@
 /// interpreters once per run — and passes it to the check entry
 /// points.
 ///
+/// CheckedPtr's bounds checks (the hottest check by far) do not touch
+/// a cell at all: each adds one to the thread's PendingBoundsChecks
+/// word, and settlePendingChecks() later adds the word to the cell of
+/// the runtime the checks were made against. A thread settles when a
+/// RuntimeScope begins or ends, when it calls snapshot() or reset()
+/// itself, when it changes the default runtime, and when it exits. The
+/// exit settle is registered by the thread's first scope, first event
+/// that gets bounds from a runtime (an input or cast event,
+/// allocateChecked) or first failed bounds check; a thread that only dereferences pointers made on
+/// other threads, with no scope, should call settlePendingChecks()
+/// before it exits.
+///
+/// When counts are visible, then:
+///   * A snapshot taken by a thread includes all of its own checks.
+///   * Other threads' type checks, narrows, bounds_gets and per-call
+///     bounds checks (Runtime::boundsCheck, the interpreters, the VM,
+///     the C ABI) are included once those threads are synchronized
+///     with the caller: joined, or past a barrier.
+///   * Another thread's CheckedPtr bounds checks are included once that
+///     thread has settled them and is synchronized with the caller:
+///     its scope has ended, it has read or reset counters, or it has
+///     been joined. A barrier alone is not enough. A slotless thread's
+///     scratch cell (OwnedCell) has the same contract.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EFFECTIVE_CORE_CHECKCOUNTERS_H
@@ -52,6 +76,26 @@ inline constexpr unsigned OverflowSlot = NumCounterSlots;
 inline unsigned &threadCounterSlot() {
   thread_local unsigned Slot = OverflowSlot;
   return Slot;
+}
+
+/// The calling thread's CheckedPtr bounds checks not yet added to a
+/// cell. A plain word that only its thread touches, so a check counts
+/// with one add to a thread-local address: no binding load, no cell
+/// and no atomic.
+inline constinit thread_local uint64_t PendingBoundsChecks = 0;
+
+namespace detail {
+/// Adds PendingBoundsChecks to its cell and zeroes it (core/Runtime.cpp,
+/// which knows the thread's runtime binding).
+void settlePendingChecksSlow();
+} // namespace detail
+
+/// Adds the calling thread's pending CheckedPtr bounds checks to the
+/// runtime they were made against — the bound scope's cell, else the
+/// fallback runtime (core/CheckedPtr.h) — and zeroes the word.
+inline void settlePendingChecks() {
+  if (PendingBoundsChecks != 0)
+    detail::settlePendingChecksSlow();
 }
 
 /// Claims a counter slot for the calling thread if it never tried
@@ -142,13 +186,16 @@ public:
   /// The cell of slot \p Slot (OverflowSlot: the shared cell).
   const CheckCell &cellAt(unsigned Slot) const { return Cells[Slot]; }
 
-  /// The sum over every cell. Exact once the checking threads are
-  /// synchronized with the caller (joined, or past a barrier).
+  /// The sum over every cell, after settling the calling thread's
+  /// pending bounds checks. What it includes of other threads' counts
+  /// is in the file comment.
   Snapshot snapshot() const;
   static Snapshot snapshotOf(const CheckCell &C);
 
-  /// Zeroes every cell. Same precondition as Runtime::reset: nothing
-  /// checks through this runtime concurrently.
+  /// Settles the calling thread's pending bounds checks, then zeroes
+  /// every cell. Same precondition as Runtime::reset: nothing checks
+  /// through this runtime concurrently, and no other thread holds
+  /// unsettled checks against it.
   void reset();
 
 private:

@@ -41,6 +41,12 @@ namespace effective {
 /// SanitizerScope), then the injected process default
 /// (setDefaultRuntime — how a test or embedder swaps the fallback for a
 /// private instance), then Runtime::global().
+///
+/// Bounds checks count into the thread's PendingBoundsChecks word
+/// (core/CheckCounters.h), which is settled into the current runtime
+/// whenever the binding is about to change — scope begin and end,
+/// setDefaultRuntime — so each check counts against the runtime it was
+/// made under.
 /// @{
 
 /// The thread-local binding: the scoped runtime and the counter cell
@@ -63,8 +69,12 @@ inline std::atomic<Runtime *> &defaultRuntimeSlot() {
 
 /// Injects \p RT as the process-wide fallback runtime for threads with
 /// no scope binding; pass null to restore Runtime::global(). Returns
-/// the previous injection.
+/// the previous injection. The caller's pending bounds checks settle
+/// first, so what it checked unbound counts in the old fallback. Other
+/// unbound threads settle into whichever fallback is current when they
+/// settle: swap the default only while they hold no checks.
 inline Runtime *setDefaultRuntime(Runtime *RT) {
+  settlePendingChecks();
   return defaultRuntimeSlot().exchange(RT, std::memory_order_acq_rel);
 }
 
@@ -82,27 +92,43 @@ inline Runtime &currentRuntime() {
 }
 
 namespace detail {
+/// Whether the calling thread settles its pending bounds checks when
+/// it exits.
+inline constinit thread_local bool SettlesAtExit = false;
+
+/// Registers the exit settle for the calling thread (core/Runtime.cpp).
+void registerSettleAtExit();
+
+/// Makes the calling thread settle its pending bounds checks when it
+/// exits: a flag test once registered, so allocation paths pay no call.
+/// Every event that gets bounds from a runtime calls it (scopes,
+/// unbound input and cast events, explicit-runtime events and
+/// allocateChecked), and so does a failed bounds check.
+inline void settleAtThreadExit() {
+  if (EFFSAN_UNLIKELY(!SettlesAtExit))
+    registerSettleAtExit();
+}
+
 /// The cold halves of CheckedPtr's checks, out of line so each
-/// instrumented access inlines only the bound thread's success path: a
-/// failed bounds check on the bound runtime, and an unbound thread's
-/// checks on the fallback runtime's per-call path. Bounds travel as two
-/// words so the caller's loop never spills them for the cold call.
+/// instrumented access inlines only its success path: a failed bounds
+/// check, and an unbound thread's input, cast and narrow events on the
+/// fallback runtime's per-call path. Bounds travel as two words so the
+/// caller's loop never spills them for the cold call.
 EFFSAN_NOINLINE inline Bounds
 typeCheckUnbound(const void *Ptr, ReflectedType (*StaticOf)(TypeContext &)) {
+  settleAtThreadExit();
   Runtime &RT = fallbackRuntime();
   ReflectedType Static = StaticOf(RT.typeContext());
   return RT.typeCheck(Ptr, Static.Type, Static.PseudoSite);
 }
 EFFSAN_NOINLINE inline Bounds boundsGetUnbound(const void *Ptr) {
+  settleAtThreadExit();
   return fallbackRuntime().boundsGet(Ptr);
 }
-EFFSAN_NOINLINE inline void boundsCheckFailBound(const void *P, size_t Size,
-                                                 uintptr_t Lo, uintptr_t Hi) {
-  currentBinding().RT->boundsCheckFail(P, Size, Bounds{Lo, Hi}, NoSite);
-}
-EFFSAN_NOINLINE inline void boundsCheckUnbound(const void *P, size_t Size,
-                                               uintptr_t Lo, uintptr_t Hi) {
-  fallbackRuntime().boundsCheck(P, Size, Bounds{Lo, Hi});
+EFFSAN_NOINLINE inline void boundsCheckFail(const void *P, size_t Size,
+                                            uintptr_t Lo, uintptr_t Hi) {
+  settleAtThreadExit();
+  currentRuntime().boundsCheckFail(P, Size, Bounds{Lo, Hi}, NoSite);
 }
 EFFSAN_NOINLINE inline Bounds boundsNarrowUnbound(Bounds B, const void *Field,
                                                   size_t Size) {
@@ -112,14 +138,23 @@ EFFSAN_NOINLINE inline Bounds boundsNarrowUnbound(Bounds B, const void *Field,
 
 /// RAII binder for the current runtime. It owns a counter cell of the
 /// runtime for its lifetime (claiming the thread's slot), so CheckedPtr
-/// checks inside the scope count without looking the cell up.
+/// type checks, narrows and bounds_gets inside the scope count without
+/// looking the cell up. The thread's pending bounds checks settle when
+/// the scope begins (into the binding it replaces) and when it ends
+/// (into this scope's cell), so they reach other threads' snapshots at
+/// the end of the scope, not before.
 class RuntimeScope {
 public:
   explicit RuntimeScope(Runtime &RT)
       : Saved(currentBinding()), Cell(RT.counters()) {
+    settlePendingChecks();
+    detail::settleAtThreadExit();
     currentBinding() = {&RT, &*Cell};
   }
-  ~RuntimeScope() { currentBinding() = Saved; }
+  ~RuntimeScope() {
+    settlePendingChecks();
+    currentBinding() = Saved;
+  }
 
   RuntimeScope(const RuntimeScope &) = delete;
   RuntimeScope &operator=(const RuntimeScope &) = delete;
@@ -340,6 +375,7 @@ private:
   // scope's cell, or the out-of-line path when unbound). The static type
   // and its pseudo-site come from the context's reflection slot.
   static Bounds checkType(T *Ptr, Runtime &RT) {
+    detail::settleAtThreadExit();
     ReflectedType Static = StaticOf::reflect(RT.typeContext());
     return RT.typeCheck(Ptr, Static.Type, Static.PseudoSite);
   }
@@ -351,7 +387,10 @@ private:
     return Bound.RT->typeCheck(Ptr, Static.Type, Static.PseudoSite,
                                *Bound.Cell);
   }
-  static Bounds getBounds(T *Ptr, Runtime &RT) { return RT.boundsGet(Ptr); }
+  static Bounds getBounds(T *Ptr, Runtime &RT) {
+    detail::settleAtThreadExit();
+    return RT.boundsGet(Ptr);
+  }
   EFFSAN_ALWAYS_INLINE static Bounds getBounds(T *Ptr,
                                                const RuntimeBinding &Bound) {
     if (EFFSAN_UNLIKELY(Bound.Cell == nullptr))
@@ -390,20 +429,15 @@ private:
     return P;
   }
 
-  // Bound threads count into the scope's cell; unbound ones take the
-  // fallback runtime's per-call path. bounds_check is open-coded
-  // (Runtime::boundsCheck's count and test), so the success path reads
-  // only the cell and reaches the runtime only on failure.
+  // bounds_check, open-coded: one add to the thread's pending word
+  // (settled into the current runtime's cell off this path) and the
+  // compare. Bound or not, the success path touches no runtime; a
+  // failure resolves the current runtime to report.
   EFFSAN_ALWAYS_INLINE void check(const void *P, size_t Size) const {
     if constexpr (Policy::CheckBounds) {
-      CheckCell *Cell = currentBinding().Cell;
-      if (EFFSAN_LIKELY(Cell != nullptr)) {
-        CheckCell::bump(Cell->BoundsChecks);
-        if (EFFSAN_UNLIKELY(!B.contains(P, Size)))
-          detail::boundsCheckFailBound(P, Size, B.Lo, B.Hi);
-      } else {
-        detail::boundsCheckUnbound(P, Size, B.Lo, B.Hi);
-      }
+      ++PendingBoundsChecks;
+      if (EFFSAN_UNLIKELY(!B.contains(P, Size)))
+        detail::boundsCheckFail(P, Size, B.Lo, B.Hi);
     }
   }
 
@@ -429,6 +463,7 @@ private:
 /// type), returning a checked pointer with the allocation bounds.
 template <typename T, typename Policy>
 CheckedPtr<T, Policy> allocateChecked(Runtime &RT, size_t Count = 1) {
+  detail::settleAtThreadExit();
   const TypeInfo *Type =
       TypeOf<std::remove_cv_t<T>>::reflect(RT.typeContext()).Type;
   void *Mem = RT.allocate(Count * sizeof(T), Type);

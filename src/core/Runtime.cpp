@@ -6,6 +6,7 @@
 
 #include "core/Runtime.h"
 
+#include "core/CheckedPtr.h"
 #include "core/Layout.h"
 #include "obs/Metrics.h"
 #include "resilience/Fault.h"
@@ -55,6 +56,29 @@ Runtime::Runtime(TypeContext &Ctx, lowfat::LowFatHeap &SharedHeap,
 Runtime &Runtime::global() {
   static Runtime RT(TypeContext::global());
   return RT;
+}
+
+void effective::detail::settlePendingChecksSlow() {
+  uint64_t N = PendingBoundsChecks;
+  PendingBoundsChecks = 0;
+  auto Add = [N](CheckCell &Cell) {
+    Cell.BoundsChecks.store(
+        Cell.BoundsChecks.load(std::memory_order_relaxed) + N,
+        std::memory_order_relaxed);
+  };
+  if (CheckCell *Cell = currentBinding().Cell)
+    Add(*Cell);
+  else
+    fallbackRuntime().counters().count(Add);
+}
+
+void effective::detail::registerSettleAtExit() {
+  struct Settler {
+    ~Settler() { settlePendingChecks(); }
+  };
+  thread_local Settler AtExit;
+  (void)AtExit;
+  SettlesAtExit = true;
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
 #include <thread>
 #include <vector>
 
@@ -273,4 +275,140 @@ TEST_F(CheckedPtrTest, RuntimeScopeBindsCurrentRuntime) {
     EXPECT_EQ(&currentRuntime(), &Other);
   }
   EXPECT_EQ(&currentRuntime(), &RT);
+}
+
+// Settle points. A CheckedPtr bounds check counts into the thread's
+// pending word; each test below fails if the settle point it names no
+// longer moves that word into the right runtime's counters.
+
+TEST_F(CheckedPtrTest, NestedScopesAttributeChecksToTheirRuntime) {
+  auto A = allocateChecked<int, FullPolicy>(RT, 8);
+  RT.counters().reset();
+  Runtime Other(Ctx, quietOptions());
+  auto Touch = [&](int N) {
+    for (int I = 0; I < N; ++I)
+      A[I] = I;
+  };
+  Touch(3); // Under RT; the inner scope's constructor settles them.
+  {
+    RuntimeScope Inner(Other);
+    Touch(7); // Under Other; the inner scope's destructor settles them.
+  }
+  Touch(2);
+  EXPECT_EQ(Other.counters().snapshot().BoundsChecks, 7u);
+  EXPECT_EQ(RT.counters().snapshot().BoundsChecks, 3u + 2u);
+  deallocateChecked(RT, A);
+}
+
+TEST_F(CheckedPtrTest, SnapshotAndResetMidScopeAreExact) {
+  auto A = allocateChecked<int, FullPolicy>(RT, 16);
+  RT.counters().reset();
+  for (int I = 0; I < 10; ++I)
+    A[I] = I;
+  EXPECT_EQ(RT.counters().snapshot().BoundsChecks, 10u);
+  for (int I = 0; I < 4; ++I)
+    A[I] = I;
+  RT.counters().reset(); // Discards the 4 along with the settled 10.
+  EXPECT_EQ(RT.counters().snapshot().BoundsChecks, 0u);
+  for (int I = 0; I < 6; ++I)
+    A[I] = I;
+  EXPECT_EQ(RT.counters().snapshot().BoundsChecks, 6u);
+  deallocateChecked(RT, A);
+}
+
+TEST_F(CheckedPtrTest, SetDefaultRuntimeSettlesIntoTheOldDefault) {
+  Runtime First(Ctx, quietOptions()), Second(Ctx, quietOptions());
+  std::thread Unbound([&] {
+    Runtime *Prev = setDefaultRuntime(&First);
+    auto A = allocateChecked<int, FullPolicy>(First, 8);
+    for (int I = 0; I < 5; ++I)
+      A[I] = I;
+    setDefaultRuntime(&Second); // The 5 belong to First.
+    for (int I = 0; I < 3; ++I)
+      A[I] = I;
+    setDefaultRuntime(Prev); // The 3 belong to Second.
+    deallocateChecked(First, A);
+  });
+  Unbound.join();
+  EXPECT_EQ(First.counters().snapshot().BoundsChecks, 5u);
+  EXPECT_EQ(Second.counters().snapshot().BoundsChecks, 3u);
+}
+
+TEST_F(CheckedPtrTest, UnboundThreadChecksReachTheFallbackAtExit) {
+  // No scope and no input event: allocateChecked is the thread's only
+  // runtime event, and its checks settle when the thread exits.
+  Runtime Fallback(Ctx, quietOptions());
+  Runtime *Prev = setDefaultRuntime(&Fallback);
+  std::thread Unbound([&] {
+    auto A = allocateChecked<int, FullPolicy>(Fallback, 100);
+    for (int I = 0; I < 100; ++I)
+      A[I] = I;
+    EXPECT_EQ(checkedSum(A, 100), 99 * 100 / 2);
+    deallocateChecked(Fallback, A);
+  });
+  Unbound.join();
+  setDefaultRuntime(Prev);
+  EXPECT_EQ(Fallback.counters().snapshot().BoundsChecks, 200u);
+  EXPECT_EQ(RT.counters().snapshot().BoundsChecks, 0u);
+}
+
+TEST_F(CheckedPtrTest, FailedCheckOnUnboundThreadReportsIntoTheFallback) {
+  Runtime Fallback(Ctx, quietOptions());
+  Runtime *Prev = setDefaultRuntime(&Fallback);
+  std::thread Unbound([&] {
+    auto A = allocateChecked<int, FullPolicy>(Fallback, 4);
+    (void)(A - 1).escape(); // Below the object: one BOUNDS error.
+    deallocateChecked(Fallback, A);
+  });
+  Unbound.join();
+  setDefaultRuntime(Prev);
+  EXPECT_EQ(Fallback.reporter().numIssues(), 1u);
+  EXPECT_EQ(Fallback.counters().snapshot().BoundsChecks, 1u);
+  EXPECT_EQ(RT.reporter().numIssues(), 0u);
+}
+
+TEST_F(CheckedPtrTest, SlotlessThreadsSettleIntoTheOverflowCell) {
+  // More live threads than counter slots, so some hold none. A scoped
+  // slotless thread settles into its scope's scratch cell, which its
+  // end adds to the overflow cell; an unbound one settles at exit
+  // through the fallback runtime's overflow path.
+  auto A = allocateChecked<int, FullPolicy>(RT, 100);
+  for (int I = 0; I < 100; ++I)
+    A[I] = I;
+  Runtime Fallback(Ctx, quietOptions());
+  Runtime *Prev = setDefaultRuntime(&Fallback);
+  RT.counters().reset();
+  constexpr unsigned Threads = NumCounterSlots + 8;
+  std::barrier AllClaimed(Threads);
+  std::atomic<unsigned> SlotlessTicket{0}, SlotlessScoped{0},
+      SlotlessUnbound{0}, Scoped{0};
+  std::vector<std::thread> Pool;
+  for (unsigned W = 0; W < Threads; ++W)
+    Pool.emplace_back([&, W] {
+      bool Slotless = claimCounterSlot() == OverflowSlot;
+      AllClaimed.arrive_and_wait(); // Every slot is taken.
+      // Slotless threads alternate, so both paths run without a slot.
+      bool Scope = Slotless ? SlotlessTicket.fetch_add(1) % 2 == 0
+                            : W % 2 == 0;
+      if (Slotless)
+        ++(Scope ? SlotlessScoped : SlotlessUnbound);
+      if (Scope) {
+        ++Scoped;
+        RuntimeScope Bind(RT);
+        EXPECT_EQ(checkedSum(CheckedPtr<int, FullPolicy>::input(A.raw()), 100),
+                  99 * 100 / 2);
+      } else {
+        EXPECT_EQ(checkedSum(CheckedPtr<int, FullPolicy>::input(A.raw()), 100),
+                  99 * 100 / 2);
+      }
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  setDefaultRuntime(Prev);
+  EXPECT_GE(SlotlessScoped.load(), (Threads - NumCounterSlots) / 2);
+  EXPECT_GE(SlotlessUnbound.load(), (Threads - NumCounterSlots) / 2);
+  EXPECT_EQ(RT.counters().snapshot().BoundsChecks, uint64_t(Scoped) * 100);
+  EXPECT_EQ(Fallback.counters().snapshot().BoundsChecks,
+            uint64_t(Threads - Scoped) * 100);
+  deallocateChecked(RT, A);
 }

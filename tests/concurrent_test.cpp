@@ -17,6 +17,7 @@
 #include "concurrent/ErrorRing.h"
 #include "concurrent/SessionPool.h"
 #include "concurrent/ShardedHeap.h"
+#include "resilience/Fault.h"
 #include "workloads/Harness.h"
 
 #include <gtest/gtest.h>
@@ -284,8 +285,13 @@ TEST(ShardedHeapTest, ConcurrentAllocFreeWithQuarantine) {
   // slack while evicting).
   EXPECT_LE(Stats.QuarantinedBytes,
             uint64_t(Threads) * ((1 << 14) + 1024));
-  EXPECT_GT(Stats.QuarantinedBytes, 0u)
-      << "the quarantine must actually delay reuse";
+  // An armed quarantine overrun (EFFSAN_FAULTS) evicts a shard's whole
+  // quarantine at a flush, so every shard may end empty; unarmed, the
+  // budget holds and something stays parked.
+  if (resilience::FaultRegistry::instance().fires(
+          resilience::FaultPoint::HeapQuarantineOverrun) == 0)
+    EXPECT_GT(Stats.QuarantinedBytes, 0u)
+        << "the quarantine must actually delay reuse";
 }
 
 TEST(ShardedHeapTest, ResetShardLeavesSiblingsIntact) {

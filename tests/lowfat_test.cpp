@@ -8,6 +8,7 @@
 #include "lowfat/LowFatHeap.h"
 #include "lowfat/SizeClass.h"
 #include "lowfat/StackPool.h"
+#include "resilience/Fault.h"
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,20 @@
 
 using namespace effective;
 using namespace effective::lowfat;
+using resilience::FaultPoint;
+
+namespace {
+
+/// How often \p Point has fired: zero unless a fault schedule is armed
+/// (EFFSAN_FAULTS). An armed refill failure or quarantine overrun
+/// changes which block an allocation returns, so the tests that pin
+/// that policy read the count around the operation and assert the
+/// induced behaviour when the point fired.
+uint64_t fired(FaultPoint Point) {
+  return resilience::FaultRegistry::instance().fires(Point);
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Size classes
@@ -318,8 +333,12 @@ TEST(ShardedLowFatHeapTest, CrossShardFreeReturnsToOwningShard) {
   // ...the block must come back to shard 1, not shard 0.
   void *Q0 = Heap.allocateOnShard(64, 0);
   EXPECT_NE(Q0, P) << "shard 0 must not receive shard 1's free block";
+  uint64_t RefillFails = fired(FaultPoint::HeapMagazineRefill);
   void *Q1 = Heap.allocateOnShard(64, 1);
-  EXPECT_EQ(Q1, P) << "shard 1's LIFO free list reuses its own block";
+  if (fired(FaultPoint::HeapMagazineRefill) == RefillFails)
+    EXPECT_EQ(Q1, P) << "shard 1's LIFO free list reuses its own block";
+  else
+    EXPECT_NE(Q1, P) << "an induced refill failure serves the bump pointer";
   Heap.deallocate(Q0);
   Heap.deallocate(Q1);
 }
@@ -452,10 +471,16 @@ TEST(MagazineTest, OverflowFlushesHalfToTheSharedList) {
     Heap.deallocate(P);
   // Another thread (fresh TLS) must be able to reuse flushed blocks.
   std::thread Other([&Heap] {
+    uint64_t RefillFails = fired(FaultPoint::HeapMagazineRefill);
+    uint64_t Refills = Heap.stats().MagazineRefills;
     void *P = Heap.allocate(64);
     EXPECT_TRUE(Heap.isLowFat(P));
-    EXPECT_GE(Heap.stats().MagazineRefills, 1u)
-        << "the fresh thread must refill from the flushed overflow";
+    if (fired(FaultPoint::HeapMagazineRefill) == RefillFails)
+      EXPECT_GE(Heap.stats().MagazineRefills, 1u)
+          << "the fresh thread must refill from the flushed overflow";
+    else
+      EXPECT_EQ(Heap.stats().MagazineRefills, Refills)
+          << "an induced refill failure refills nothing";
     Heap.deallocate(P);
   });
   Other.join();
@@ -470,10 +495,19 @@ TEST(MagazineTest, FlushThreadCachePublishesCachedBlocks) {
   // After the flush the block sits on the shared free list, so a
   // magazine-REFILL (not a hit) serves it back.
   uint64_t HitsBefore = Heap.stats().MagazineHits;
+  uint64_t RefillsBefore = Heap.stats().MagazineRefills;
+  uint64_t RefillFails = fired(FaultPoint::HeapMagazineRefill);
   void *Q = Heap.allocate(64);
-  EXPECT_EQ(Q, P);
   EXPECT_EQ(Heap.stats().MagazineHits, HitsBefore);
-  EXPECT_GE(Heap.stats().MagazineRefills, 1u);
+  if (fired(FaultPoint::HeapMagazineRefill) == RefillFails) {
+    EXPECT_EQ(Q, P);
+    EXPECT_GE(Heap.stats().MagazineRefills, 1u);
+  } else {
+    // The induced refill failure leaves P on the shared list and
+    // serves Q from the bump pointer.
+    EXPECT_NE(Q, P);
+    EXPECT_EQ(Heap.stats().MagazineRefills, RefillsBefore);
+  }
   Heap.deallocate(Q);
 }
 
@@ -521,8 +555,12 @@ TEST(MagazineTest, ThreadExitFlushesMagazinesBackToTheHeap) {
     Heap.deallocate(P); // Parks in the worker's magazine...
   });
   Worker.join(); // ...and must flush back at thread exit.
+  uint64_t RefillFails = fired(FaultPoint::HeapMagazineRefill);
   void *Q = Heap.allocate(64);
-  EXPECT_EQ(Q, P) << "the dead thread's cached block must be reusable";
+  if (fired(FaultPoint::HeapMagazineRefill) == RefillFails)
+    EXPECT_EQ(Q, P) << "the dead thread's cached block must be reusable";
+  else
+    EXPECT_NE(Q, P) << "an induced refill failure serves the bump pointer";
   Heap.deallocate(Q);
   HeapStats Stats = Heap.stats();
   EXPECT_EQ(Stats.NumAllocs, 2u);
@@ -575,18 +613,24 @@ TEST(BatchedQuarantineTest, DelayPreservedWithinAndAcrossBatches) {
   LowFatHeap Heap(Options);
   // Free a full batch (16) plus change: no freed block may come back
   // while the budget holds, whether it sits in the thread batch or in
-  // the shard FIFO.
+  // the shard FIFO. An induced overrun at a batch flush evicts every
+  // block freed so far, so only later frees stay protected.
   std::vector<void *> Freed;
-  for (int I = 0; I < 20; ++I) {
-    void *P = Heap.allocate(64);
+  size_t Protected = 0; // Freed[Protected..] are still quarantined.
+  auto Free = [&](void *P) {
+    uint64_t Overruns = fired(FaultPoint::HeapQuarantineOverrun);
     Heap.deallocate(P);
     Freed.push_back(P);
+    if (fired(FaultPoint::HeapQuarantineOverrun) != Overruns)
+      Protected = Freed.size();
+  };
+  for (int I = 0; I < 20; ++I) {
+    Free(Heap.allocate(64));
     void *Q = Heap.allocate(64);
-    for (void *F : Freed)
-      EXPECT_NE(Q, F) << "quarantined block reused (iteration " << I
-                      << ")";
-    Heap.deallocate(Q);
-    Freed.push_back(Q);
+    for (size_t F = Protected; F < Freed.size(); ++F)
+      EXPECT_NE(Q, Freed[F]) << "quarantined block reused (iteration " << I
+                             << ")";
+    Free(Q);
   }
   EXPECT_GT(Heap.stats().QuarantinedBytes, 0u);
 }
@@ -600,8 +644,11 @@ TEST(BatchedQuarantineTest, AccountingVisibleBeforeTheBatchFlushes) {
   // One free < batch size: the block is still in the TLS batch, but
   // the byte accounting must already see it.
   EXPECT_EQ(Heap.stats().QuarantinedBytes, 64u);
+  uint64_t Overruns = fired(FaultPoint::HeapQuarantineOverrun);
   Heap.flushThreadCache();
-  EXPECT_EQ(Heap.stats().QuarantinedBytes, 64u);
+  // An induced overrun at the flush evicts the block.
+  EXPECT_EQ(Heap.stats().QuarantinedBytes,
+            fired(FaultPoint::HeapQuarantineOverrun) == Overruns ? 64u : 0u);
 }
 
 TEST(BatchedQuarantineTest, ResetShardDropsPendingBatchEntries) {
@@ -675,8 +722,12 @@ TEST(WorkStealingTest, ExhaustedSliceRefillsFromSiblings) {
   // victim can reuse it, and per-shard alloc/free stats balance.
   unsigned Victim = Heap.shardOf(Blocks[4]);
   Heap.deallocate(Blocks[4]);
+  uint64_t RefillFails = fired(FaultPoint::HeapMagazineRefill);
   void *Reused = Heap.allocateOnShard(BlockSize, Victim);
-  EXPECT_EQ(Reused, Blocks[4]);
+  if (fired(FaultPoint::HeapMagazineRefill) == RefillFails)
+    EXPECT_EQ(Reused, Blocks[4]);
+  else // An induced refill failure leaves the block on the free list.
+    EXPECT_NE(Reused, Blocks[4]);
   Heap.deallocate(Reused);
   for (int I = 0; I < 12; ++I)
     if (I != 4)
