@@ -110,6 +110,16 @@ TEST(Figure1, EffectiveSanRow) {
   EXPECT_FALSE(O["reuse-after-free-same-type"])
       << "the paper's documented partial coverage";
   EXPECT_TRUE(O["double-free"]);
+
+  // Typed stack and global objects: both columns read Yes, and the
+  // four scenarios behind them are in the suite.
+  EXPECT_EQ(Row.stackCapability(), Capability::Full);
+  EXPECT_EQ(Row.globalCapability(), Capability::Full);
+  for (const char *Id : {"stack-use-after-return", "stack-oob",
+                         "global-oob", "global-type-confusion"}) {
+    ASSERT_EQ(O.count(Id), 1u) << "missing scenario " << Id;
+    EXPECT_TRUE(O[Id]) << Id;
+  }
 }
 
 TEST(Figure1, TypeConfusionToolsRow) {

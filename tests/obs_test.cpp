@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -469,6 +470,68 @@ TEST(ObsRuntimeTest, CacheMissesEmitCheckSlowPathTraceEvents) {
   EXPECT_NE(Json.find("\"check_slow_path\""), std::string::npos) << Json;
 }
 
+TEST(ObsRuntimeTest, ServiceRunTracesAtLeastThreeLayers) {
+  // One fully observed service run: a check-heavy leased workload, an
+  // allocation burst deep enough to turn the TLS magazine over, and
+  // forced drain ticks, then a tenant close. Its Chrome trace must be
+  // one timeline across the runtime's layers, not one layer's events.
+  if (!obs::compiledIn())
+    GTEST_SKIP() << "built with EFFSAN_OBS_OFF";
+  ObsQuiesce Quiesce;
+  ServiceOptions Options;
+  Options.Shards = 1;
+  Options.Reporter.Mode = ReportMode::Count;
+  Options.DrainIntervalMicros = 60'000'000; // Ticks only when forced.
+  Supervisor Sup(Options);
+  TenantId T = Sup.openTenant("observed");
+  ASSERT_NE(T, NoTenant);
+
+  ASSERT_TRUE(obs::Tracer::instance().start());
+  obs::setFlags(obs::TraceFlag | obs::MetricsFlag | obs::ProfileFlag);
+  {
+    Supervisor::Lease L = Sup.lease(T);
+    ASSERT_TRUE(static_cast<bool>(L));
+    const TypeInfo *IntTy = L->types().getInt();
+    for (int Round = 0; Round < 8; ++Round) {
+      auto *P = static_cast<int *>(L->malloc(16 * sizeof(int), IntTy));
+      for (int I = 0; I < 7500; ++I) {
+        if ((I & 63) == 63) {
+          L->free(P);
+          P = static_cast<int *>(L->malloc(16 * sizeof(int), IntTy));
+        }
+        Bounds B = L->typeCheck(P, IntTy);
+        for (int K = 0; K < 8; ++K)
+          L->boundsCheck(P + K, sizeof(int), B);
+      }
+      L->free(P);
+      void *Blocks[512];
+      for (void *&Block : Blocks)
+        Block = L->malloc(64, IntTy);
+      for (void *Block : Blocks)
+        L->free(Block);
+      Sup.tick();
+    }
+  }
+  // The recycling tick records the session reset and the shard rewind.
+  Sup.closeTenant(T);
+  Sup.tick();
+  obs::Tracer::instance().stop();
+
+  std::string Json;
+  obs::Tracer::instance().exportChromeJson(Json);
+  std::set<std::string> Layers;
+  const std::string Cat = "\"cat\":\"";
+  for (size_t Pos = Json.find(Cat); Pos != std::string::npos;
+       Pos = Json.find(Cat, Pos)) {
+    Pos += Cat.size();
+    Layers.insert(Json.substr(Pos, Json.find('"', Pos) - Pos));
+  }
+  std::string Seen;
+  for (const std::string &Layer : Layers)
+    Seen += " " + Layer;
+  EXPECT_GE(Layers.size(), 3u) << "layers traced:" << Seen;
+}
+
 //===----------------------------------------------------------------------===//
 // Differential: the Prometheus mirror vs the legacy counters
 //===----------------------------------------------------------------------===//
@@ -541,6 +604,14 @@ void appendWrite(const char *Data, size_t Len, void *UserData) {
 TEST(ObsAbiTest, VersionAndCompiledInAgreeWithTheBuild) {
   EXPECT_GE(EFFSAN_ABI_VERSION_MINOR, 6);
   EXPECT_EQ(effsan_obs_compiled_in() != 0, obs::compiledIn());
+}
+
+TEST(ObsAbiTest, CompiledInFollowsTheBuildSwitch) {
+#ifdef EFFSAN_OBS_OFF
+  EXPECT_EQ(effsan_obs_compiled_in(), 0);
+#else
+  EXPECT_EQ(effsan_obs_compiled_in(), 1);
+#endif
 }
 
 TEST(ObsAbiTest, EnableReturnsThePreviousSet) {

@@ -691,6 +691,14 @@ TEST(ResilienceAbiTest, FaultControlsRoundTrip) {
   EXPECT_EQ(effsan_fault_configure(nullptr), 0);
 }
 
+TEST(ResilienceAbiTest, CompiledInFollowsTheBuildSwitch) {
+#ifdef EFFSAN_FAULT_OFF
+  EXPECT_EQ(effsan_fault_compiled_in(), 0);
+#else
+  EXPECT_EQ(effsan_fault_compiled_in(), 1);
+#endif
+}
+
 TEST(ResilienceAbiTest, ResourceExhaustionSurfacesThroughTheAbi) {
   if (!effsan_fault_compiled_in())
     GTEST_SKIP() << "EFFSAN_FAULT_OFF build: no fault points compiled in";

@@ -175,6 +175,26 @@ TEST(Figure7Shape, LegacyChecksAreRare) {
   EXPECT_LT(static_cast<double>(Legacy) / Type, 0.05);
 }
 
+TEST(Figure7Shape, SpecMixTypeChecksHitTheSiteCache) {
+  // Every kernel under Full on one fresh session: at least 90% of the
+  // type checks resolve on the site cache's fast path, so site
+  // resolution and attributed reporting stay off the hot path.
+  SessionOptions Options;
+  Options.Reporter.Mode = ReportMode::Count;
+  Sanitizer Session(TypeContext::global(), Options);
+  SanitizerScope Scope(Session);
+  for (const Workload &W : specWorkloads())
+    W.RunFull(Session.runtime(), /*Scale=*/1);
+  auto C = Session.runtime().counters().snapshot();
+  uint64_t Resolved = C.TypeCheckCacheHits + C.TypeCheckCacheMisses;
+  ASSERT_GT(Resolved, 0u);
+  EXPECT_GE(100.0 * static_cast<double>(C.TypeCheckCacheHits) /
+                static_cast<double>(Resolved),
+            90.0)
+      << C.TypeCheckCacheHits << " hits, " << C.TypeCheckCacheMisses
+      << " misses";
+}
+
 //===----------------------------------------------------------------------===//
 // Figure 9 shape
 //===----------------------------------------------------------------------===//
