@@ -9,67 +9,10 @@
 using namespace effective;
 
 //===----------------------------------------------------------------------===//
-// The policy-specialized check front end
+// The per-policy dispatch tables (FrontEnd<P>: api/PolicyFrontEnd.h)
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// One straight-line instantiation of each check entry point per
-/// policy. `if constexpr` compiles each function down to exactly the
-/// arm the old per-check switch would have selected — no runtime
-/// branching on the policy remains anywhere in a check.
-template <CheckPolicy P> struct FrontEnd {
-  static Bounds typeCheck(const CheckTarget &To, const void *Ptr,
-                          const TypeInfo *StaticType, SiteId Site) {
-    if constexpr (P == CheckPolicy::Full || P == CheckPolicy::TypeOnly) {
-      return To.RT.typeCheck(Ptr, StaticType, Site, To.Cell);
-    } else if constexpr (P == CheckPolicy::BoundsOnly) {
-      // Section 6.2: the -bounds variant replaces type_check by
-      // bounds_get.
-      return To.RT.boundsGet(Ptr, Site, To.Cell);
-    } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckCell::bump(To.Cell.TypeChecks);
-      return Bounds::wide();
-    } else {
-      return Bounds::wide();
-    }
-  }
-
-  static Bounds boundsGet(const CheckTarget &To, const void *Ptr,
-                          SiteId Site) {
-    if constexpr (P == CheckPolicy::Full || P == CheckPolicy::BoundsOnly) {
-      return To.RT.boundsGet(Ptr, Site, To.Cell);
-    } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckCell::bump(To.Cell.BoundsGets);
-      return Bounds::wide();
-    } else {
-      return Bounds::wide();
-    }
-  }
-
-  static void boundsCheck(const CheckTarget &To, const void *Ptr,
-                          size_t Size, Bounds B, SiteId Site) {
-    if constexpr (P == CheckPolicy::Full || P == CheckPolicy::BoundsOnly) {
-      To.RT.boundsCheck(Ptr, Size, B, Site, To.Cell);
-    } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckCell::bump(To.Cell.BoundsChecks);
-    }
-  }
-
-  static Bounds boundsNarrow(const CheckTarget &To, Bounds B,
-                             const void *Field, size_t Size) {
-    if constexpr (P == CheckPolicy::Full) {
-      return To.RT.boundsNarrow(B, Field, Size, To.Cell);
-    } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckCell::bump(To.Cell.BoundsNarrows);
-      return B;
-    } else {
-      // BoundsOnly "protects object bounds only": rule-(e) narrowing
-      // disabled; TypeOnly/Off are no-ops.
-      return B;
-    }
-  }
-};
 
 template <CheckPolicy P> constexpr CheckDispatch dispatchOf() {
   return CheckDispatch{&FrontEnd<P>::typeCheck, &FrontEnd<P>::boundsGet,

@@ -88,11 +88,13 @@ public:
   /// Swaps the session's check front end to \p NewPolicy. Safe to call
   /// while other threads are running checks: the per-policy dispatch
   /// tables are immutable statics, so a downgrade or restore is one
-  /// atomic pointer store and concurrent checks land on either the old
-  /// or the new table, never in between. This is the service layer's
-  /// load-shedding lever (service::LoadGovernor walks sessions down
-  /// Full -> BoundsOnly -> CountOnly under pressure and back up when it
-  /// subsides).
+  /// atomic pointer store and concurrent per-call checks land on either
+  /// the old or the new table, never in between. An engine run
+  /// (interp::run, bytecode::run) reads the policy once, when it
+  /// starts: a setPolicy during a run takes effect at the next run.
+  /// This is the service layer's load-shedding lever
+  /// (service::LoadGovernor walks sessions down Full -> BoundsOnly ->
+  /// CountOnly under pressure and back up when it subsides).
   void setPolicy(CheckPolicy NewPolicy) {
     Dispatch.store(&checkDispatchFor(NewPolicy), std::memory_order_release);
     Policy.store(NewPolicy, std::memory_order_relaxed);
@@ -103,13 +105,14 @@ public:
   CheckCounters &counters() { return RT->counters(); }
 
   /// Sessions convert to their Runtime so runtime-parameterized code
-  /// (CheckedPtr's session-aware constructor, interp::run, the workload
-  /// kernels) accepts a session directly. Note the seam: code going
-  /// through the Runtime — including CheckedPtr, whose instrumentation
-  /// level is its compile-time Policy template — performs full runtime
-  /// checks regardless of this session's CheckPolicy; the policy
-  /// governs only the methods on this class (and interp::run given a
-  /// session). Pair CheckedPtr's NonePolicy/BoundsPolicy/... with a
+  /// (CheckedPtr's session-aware constructor, the workload kernels)
+  /// accepts a session directly. Note the seam: code going through the
+  /// Runtime — including CheckedPtr, whose instrumentation level is its
+  /// compile-time Policy template — performs full runtime checks
+  /// regardless of this session's CheckPolicy; the policy governs only
+  /// the methods on this class and the engine runs given a session
+  /// (interp::run, bytecode::run, effsan_run_minic), which read it once
+  /// per run. Pair CheckedPtr's NonePolicy/BoundsPolicy/... with a
   /// matching session policy when both layers are in play.
   operator Runtime &() { return *RT; }
 
@@ -123,25 +126,19 @@ public:
   /// @}
 
   /// \name Policy-dispatched checks.
-  /// What each call does is decided by policy() — but instead of a
-  /// per-check switch, the session resolves a per-policy CheckDispatch
-  /// table once at construction (api/PolicyFrontEnd.h) and every check
-  /// is one indirect call into branch-free policy-specialized code:
-  ///   Full       — the paper's type_check / bounds_check / bounds_narrow;
-  ///   BoundsOnly — typeCheck degrades to bounds_get, narrowing is a
-  ///                no-op (allocation bounds only);
-  ///   TypeOnly   — type checks run, bounds operations are no-ops;
-  ///   CountOnly  — counters advance, nothing is probed or reported;
-  ///   Off        — nothing happens at all.
+  /// What each call does is decided by policy() (api/PolicyFrontEnd.h
+  /// lists what each policy does). Instead of a per-check switch, the
+  /// session holds its policy's CheckDispatch table, swapped by
+  /// setPolicy, and every check is one indirect call into branch-free
+  /// policy-specialized code.
   /// @{
 
-  /// type_check with an explicit call-site identity (the interpreter
-  /// passes the instruction's instrumentation-assigned SiteId; see
+  /// type_check with an explicit call-site identity (see
   /// Runtime::typeCheck for the inline-cache contract).
   Bounds typeCheck(const void *Ptr, const TypeInfo *StaticType,
                    SiteId Site) {
     return RT->counters().count([=, this](CheckCell &Cell) {
-      return typeCheck(Ptr, StaticType, Site, {*RT, Cell});
+      return dispatch().TypeCheck({*RT, Cell}, Ptr, StaticType, Site);
     });
   }
 
@@ -152,41 +149,21 @@ public:
 
   Bounds boundsGet(const void *Ptr, SiteId Site = NoSite) {
     return RT->counters().count([=, this](CheckCell &Cell) {
-      return boundsGet(Ptr, Site, {*RT, Cell});
+      return dispatch().BoundsGet({*RT, Cell}, Ptr, Site);
     });
   }
 
   void boundsCheck(const void *Ptr, size_t Size, Bounds B,
                    SiteId Site = NoSite) {
     RT->counters().count([=, this](CheckCell &Cell) {
-      boundsCheck(Ptr, Size, B, Site, {*RT, Cell});
+      dispatch().BoundsCheck({*RT, Cell}, Ptr, Size, B, Site);
     });
   }
 
   Bounds boundsNarrow(Bounds B, const void *Field, size_t Size) {
     return RT->counters().count([=, this](CheckCell &Cell) {
-      return boundsNarrow(B, Field, Size, {*RT, Cell});
+      return dispatch().BoundsNarrow({*RT, Cell}, B, Field, Size);
     });
-  }
-
-  /// The same checks against \p To: this session's runtime and a
-  /// counter cell of it that the calling thread owns (an OwnedCell over
-  /// counters()), held by a caller that checks in a loop — the
-  /// interpreters hold one per run.
-  Bounds typeCheck(const void *Ptr, const TypeInfo *StaticType, SiteId Site,
-                   const CheckTarget &To) {
-    return dispatch().TypeCheck(To, Ptr, StaticType, Site);
-  }
-  Bounds boundsGet(const void *Ptr, SiteId Site, const CheckTarget &To) {
-    return dispatch().BoundsGet(To, Ptr, Site);
-  }
-  void boundsCheck(const void *Ptr, size_t Size, Bounds B, SiteId Site,
-                   const CheckTarget &To) {
-    dispatch().BoundsCheck(To, Ptr, Size, B, Site);
-  }
-  Bounds boundsNarrow(Bounds B, const void *Field, size_t Size,
-                      const CheckTarget &To) {
-    return dispatch().BoundsNarrow(To, B, Field, Size);
   }
   /// @}
 
@@ -197,7 +174,7 @@ public:
   /// reports carry source locations (docs/REPORT_FORMAT.md). Returns
   /// the base the table's dense local ids were rebased to — callers
   /// pass `base + local id` as the Site of their checks. \p Key (when
-  /// nonzero, a process-unique producer id — interp::run passes
+  /// nonzero, a process-unique producer id — the engines pass
   /// ir::Module::uid()) makes re-registration idempotent. For pooled
   /// sessions the registry is shared pool-wide, so one registration
   /// attributes every shard's errors.

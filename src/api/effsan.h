@@ -151,7 +151,8 @@ uint32_t effsan_session_policy(const effsan_session *session);
  * the old tables or the new — never a torn mix. Safe from any thread,
  * including against concurrent checks on the same session (this is how
  * the service layer degrades an overloaded shard without pausing its
- * mutators). */
+ * mutators). An effsan_run_minic reads the policy once, when it starts,
+ * so a change during a run takes effect at the next run. */
 void effsan_session_set_policy(effsan_session *session, uint32_t policy);
 
 /* The session's execution engine (an effsan_engine value; since 1.7).
@@ -217,7 +218,9 @@ typedef struct effsan_run_result {
  * source compiled and a run was attempted (inspect out->ok for the
  * run's fate), 0 on a compile error (out->fault then carries the first
  * diagnostic). The compiled program is not retained — each call
- * compiles afresh; globals are (re)allocated per run. */
+ * compiles afresh; globals are (re)allocated per run. The session's
+ * policy is read once per call and selects both the instrumentation
+ * and what the run's checks do. */
 int effsan_run_minic(effsan_session *session, const char *source,
                      const effsan_run_options *options,
                      effsan_run_result *out);

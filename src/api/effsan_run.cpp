@@ -68,12 +68,15 @@ int effsan_run_minic(effsan_session *session, const char *source,
   effsan_run_options Run = normalizedRunOptions(options);
   Sanitizer &S = *session->S;
 
-  // The instrumentation variant follows the session's policy, so the
-  // compiled checks and the session's API-level checks tell one story
-  // (CountOnly instruments like Full; the policy dispatch is what
-  // keeps its checks from probing).
+  // The session's policy is read once: the instrumentation variant and
+  // the run's checks follow the same value, so the compiled checks and
+  // the session's API-level checks tell one story (CountOnly
+  // instruments like Full; the policy front end is what keeps its
+  // checks from probing). A concurrent setPolicy applies to the next
+  // run.
+  const CheckPolicy Policy = S.policy();
   DiagnosticEngine Diags;
-  InstrumentOptions Opts = instrumentOptionsFor(S.policy());
+  InstrumentOptions Opts = instrumentOptionsFor(Policy);
   CompileResult C =
       compileMiniC(source, S.types(), Diags, Opts,
                    Run.file_name ? Run.file_name : "<minic>");
@@ -96,9 +99,10 @@ int effsan_run_minic(effsan_session *session, const char *source,
     RunOpts.MaxCallDepth = Run.max_call_depth;
   std::string_view Entry = Run.entry ? Run.entry : "main";
 
-  interp::RunResult R = session->Engine == EFFSAN_ENGINE_TREE
-                            ? interp::run(*C.M, S, RunOpts, Entry)
-                            : bytecode::run(*C.BC, S, RunOpts, Entry);
+  interp::RunResult R =
+      session->Engine == EFFSAN_ENGINE_TREE
+          ? interp::run(*C.M, S.runtime(), RunOpts, Entry, Policy)
+          : bytecode::run(*C.BC, S.runtime(), RunOpts, Entry, Policy);
 
   Full.ok = R.Ok ? 1 : 0;
   Full.exit_code = R.ExitCode;

@@ -23,11 +23,10 @@
 ///
 /// Semantics are shared with the tree-walker through
 /// interp/ExecSupport.h; the check opcodes and superinstructions call
-/// the same Runtime/Sanitizer EFFSAN_ALWAYS_INLINE fast paths the
-/// tree-walker calls, bump the same ExecutedChecks counters in the
-/// same order, and preserve the null-pointer short-circuits — the
-/// differential tests (tests/bytecode_test.cpp) hold every program to
-/// identical results, checks, faults and error reports.
+/// the tree-walker's exec::CheckFront, bump the same ExecutedChecks
+/// counters in the same order, and preserve the null-pointer
+/// short-circuits — the differential tests (tests/bytecode_test.cpp)
+/// hold every program to identical results, checks, faults and reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -115,19 +114,16 @@ EFFSAN_ALWAYS_INLINE bool cmpApply(ir::Pred P, T A, T B) {
 class VM {
 public:
   VM(const Program &Prog, Runtime &RT, const RunOptions &Opts,
-     Sanitizer *Session = nullptr)
-      : Prog(Prog), RT(RT), Session(Session),
-        Cell(RT.counters()), Target{RT, *Cell}, Opts(Opts), Guard(RT) {}
+     CheckPolicy Policy)
+      : Prog(Prog), RT(RT), Front(RT, Policy), Opts(Opts), Guard(RT) {}
 
   RunResult run(std::string_view Entry) {
     RunResult R;
     uint64_t IssuesBefore = RT.reporter().numIssues();
     const ir::Module &M = *Prog.M;
-    // Module load mirrors the tree-walker: register the site table
-    // (keyed by the module's uid, so re-runs reuse the range), then
-    // materialize globals and strings through the typed allocator.
-    if (M.numCheckSites() != 0)
-      SiteBase = RT.siteTables().registerTable(M.siteTable(), M.uid());
+    // Module load mirrors the tree-walker: register the site table,
+    // then materialize globals and strings through the typed allocator.
+    Front.loadSites(M);
     Image.allocate(M, RT);
     if (const BcFunction *Init = Prog.find("__global_init"))
       callFunction(*Init, ArgStack.size(), 0);
@@ -176,35 +172,6 @@ private:
     if (!P)
       fault(std::move(Msg));
     return P;
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Check dispatch (identical to the tree-walker's)
-  //===--------------------------------------------------------------------===//
-
-  SiteId rebase(SiteId Site) const {
-    return (Site == NoSite || SiteBase == NoSite) ? Site : SiteBase + Site;
-  }
-  Bounds vmTypeCheck(const void *P, const TypeInfo *Type, SiteId Site) {
-    Site = Site == NoSite ? siteForType(Type) : rebase(Site);
-    return Session ? Session->typeCheck(P, Type, Site, Target)
-                   : RT.typeCheck(P, Type, Site, *Cell);
-  }
-  Bounds vmBoundsGet(const void *P, SiteId Site) {
-    Site = rebase(Site);
-    return Session ? Session->boundsGet(P, Site, Target)
-                   : RT.boundsGet(P, Site, *Cell);
-  }
-  void vmBoundsCheck(const void *P, size_t Size, Bounds B, SiteId Site) {
-    Site = rebase(Site);
-    if (Session)
-      Session->boundsCheck(P, Size, B, Site, Target);
-    else
-      RT.boundsCheck(P, Size, B, Site, *Cell);
-  }
-  Bounds vmBoundsNarrow(Bounds B, const void *Field, size_t Size) {
-    return Session ? Session->boundsNarrow(B, Field, Size, Target)
-                   : RT.boundsNarrow(B, Field, Size, *Cell);
   }
 
   //===--------------------------------------------------------------------===//
@@ -265,13 +232,8 @@ private:
 
   const Program &Prog;
   Runtime &RT;
-  Sanitizer *Session;
-  /// The running thread's counter cell, found once per run, and the
-  /// session checks' target over it.
-  OwnedCell Cell;
-  CheckTarget Target;
+  exec::CheckFront Front;
   const RunOptions &Opts;
-  SiteId SiteBase = NoSite;
 
   exec::HostGuard Guard;
   exec::ModuleImage Image;
@@ -690,7 +652,7 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   BC_CASE(TypeCheck) {
     ++Checks.TypeChecks;
     void *P = R[In->A].P;
-    BR[In->B] = P ? vmTypeCheck(P, In->Type, static_cast<SiteId>(In->Imm))
+    BR[In->B] = P ? Front.typeCheck(P, In->Type, static_cast<SiteId>(In->Imm))
                   : Bounds::wide();
   }
   BC_NEXT();
@@ -699,7 +661,7 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
     ++Checks.BoundsGets;
     void *P = R[In->A].P;
     BR[In->B] =
-        P ? vmBoundsGet(P, static_cast<SiteId>(In->Imm)) : Bounds::wide();
+        P ? Front.boundsGet(P, static_cast<SiteId>(In->Imm)) : Bounds::wide();
   }
   BC_NEXT();
 
@@ -707,13 +669,13 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
     ++Checks.BoundsChecks;
     void *P = R[In->A].P;
     if (P)
-      vmBoundsCheck(P, In->Aux, BR[In->B], static_cast<SiteId>(In->Imm));
+      Front.boundsCheck(P, In->Aux, BR[In->B], static_cast<SiteId>(In->Imm));
   }
   BC_NEXT();
 
   BC_CASE(BoundsNarrow) {
     ++Checks.BoundsNarrows;
-    BR[In->B] = vmBoundsNarrow(BR[In->C], R[In->A].P, In->Imm);
+    BR[In->B] = Front.boundsNarrow(BR[In->C], R[In->A].P, In->Imm);
   }
   BC_NEXT();
 
@@ -737,27 +699,27 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   BC_CASE(TypeCheckBounds) {
     ++Checks.TypeChecks;
     void *P = R[In->A].P;
-    Bounds Bv =
-        P ? vmTypeCheck(P, In->Type, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
-          : Bounds::wide();
+    Bounds Bv = P ? Front.typeCheck(P, In->Type,
+                                    static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
+                  : Bounds::wide();
     BR[In->B] = Bv;
     ++Checks.BoundsChecks;
     if (P)
-      vmBoundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
+      Front.boundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
   }
   BC_NEXT();
 
   BC_CASE(TypeCheckLoad) {
     ++Checks.TypeChecks;
     void *P = R[In->A].P;
-    Bounds Bv =
-        P ? vmTypeCheck(P, In->Type, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
-          : Bounds::wide();
+    Bounds Bv = P ? Front.typeCheck(P, In->Type,
+                                    static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
+                  : Bounds::wide();
     BR[In->B] = Bv;
     if (In->Aux) {
       ++Checks.BoundsChecks;
       if (P)
-        vmBoundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
+        Front.boundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
     }
     void *HP = validate(R[In->A], In->Type->size(), "load");
     if (EFFSAN_UNLIKELY(!HP))
@@ -770,14 +732,14 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   BC_CASE(TypeCheckStore) {
     ++Checks.TypeChecks;
     void *P = R[In->A].P;
-    Bounds Bv =
-        P ? vmTypeCheck(P, In->Type, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
-          : Bounds::wide();
+    Bounds Bv = P ? Front.typeCheck(P, In->Type,
+                                    static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
+                  : Bounds::wide();
     BR[In->B] = Bv;
     if (In->Aux) {
       ++Checks.BoundsChecks;
       if (P)
-        vmBoundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
+        Front.boundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
     }
     void *HP = validate(R[In->A], In->Type->size(), "store");
     if (EFFSAN_UNLIKELY(!HP))
@@ -790,25 +752,27 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   BC_CASE(BoundsGetCheck) {
     ++Checks.BoundsGets;
     void *P = R[In->A].P;
-    Bounds Bv = P ? vmBoundsGet(P, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
-                  : Bounds::wide();
+    Bounds Bv =
+        P ? Front.boundsGet(P, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
+          : Bounds::wide();
     BR[In->B] = Bv;
     ++Checks.BoundsChecks;
     if (P)
-      vmBoundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
+      Front.boundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
   }
   BC_NEXT();
 
   BC_CASE(BoundsGetCheckLoad) {
     ++Checks.BoundsGets;
     void *P = R[In->A].P;
-    Bounds Bv = P ? vmBoundsGet(P, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
-                  : Bounds::wide();
+    Bounds Bv =
+        P ? Front.boundsGet(P, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
+          : Bounds::wide();
     BR[In->B] = Bv;
     if (In->Aux) {
       ++Checks.BoundsChecks;
       if (P)
-        vmBoundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
+        Front.boundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
     }
     void *HP = validate(R[In->A], In->Type->size(), "load");
     if (EFFSAN_UNLIKELY(!HP))
@@ -821,13 +785,14 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   BC_CASE(BoundsGetCheckStore) {
     ++Checks.BoundsGets;
     void *P = R[In->A].P;
-    Bounds Bv = P ? vmBoundsGet(P, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
-                  : Bounds::wide();
+    Bounds Bv =
+        P ? Front.boundsGet(P, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
+          : Bounds::wide();
     BR[In->B] = Bv;
     if (In->Aux) {
       ++Checks.BoundsChecks;
       if (P)
-        vmBoundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
+        Front.boundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
     }
     void *HP = validate(R[In->A], In->Type->size(), "store");
     if (EFFSAN_UNLIKELY(!HP))
@@ -841,7 +806,7 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
     ++Checks.BoundsChecks;
     void *P = R[In->A].P;
     if (P)
-      vmBoundsCheck(P, In->Aux, BR[In->B], static_cast<SiteId>(In->Imm));
+      Front.boundsCheck(P, In->Aux, BR[In->B], static_cast<SiteId>(In->Imm));
     void *HP = validate(R[In->A], In->Type->size(), "load");
     if (EFFSAN_UNLIKELY(!HP))
       BC_RET(Zero);
@@ -854,7 +819,7 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
     ++Checks.BoundsChecks;
     void *P = R[In->A].P;
     if (P)
-      vmBoundsCheck(P, In->Aux, BR[In->B], static_cast<SiteId>(In->Imm));
+      Front.boundsCheck(P, In->Aux, BR[In->B], static_cast<SiteId>(In->Imm));
     void *HP = validate(R[In->A], In->Type->size(), "store");
     if (EFFSAN_UNLIKELY(!HP))
       BC_RET(Zero);
@@ -878,13 +843,12 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
 } // namespace
 
 RunResult bytecode::run(const Program &P, Runtime &RT, const RunOptions &Opts,
-                        std::string_view Entry) {
-  VM V(P, RT, Opts);
+                        std::string_view Entry, CheckPolicy Policy) {
+  VM V(P, RT, Opts, Policy);
   return V.run(Entry);
 }
 
 RunResult bytecode::run(const Program &P, Sanitizer &Session,
                         const RunOptions &Opts, std::string_view Entry) {
-  VM V(P, Session.runtime(), Opts, &Session);
-  return V.run(Entry);
+  return run(P, Session.runtime(), Opts, Entry, Session.policy());
 }

@@ -37,12 +37,15 @@ using interp::ExecutedChecks;
 using interp::RunOptions;
 using interp::RunResult;
 
-/// Runs \p Entry with checks dispatched straight at the runtime.
+/// Runs \p Entry with its check opcodes under \p Policy
+/// (CheckPolicy::Full: the paper's checks).
 RunResult run(const Program &P, Runtime &RT, const RunOptions &Opts = {},
-              std::string_view Entry = "main");
+              std::string_view Entry = "main",
+              CheckPolicy Policy = CheckPolicy::Full);
 
-/// Runs \p Entry with check opcodes dispatched through \p Session, so
-/// its CheckPolicy governs what executed checks do.
+/// Runs \p Entry against \p Session's runtime under its policy, read
+/// once when the run starts (a setPolicy during the run takes effect
+/// at the next run).
 RunResult run(const Program &P, Sanitizer &Session,
               const RunOptions &Opts = {}, std::string_view Entry = "main");
 

@@ -16,6 +16,7 @@
 ///   * arithmetic / comparison / conversion evaluation (including the
 ///     deliberate definedness choices: div-by-zero is 0, float-to-int
 ///     saturates, INT64_MIN / -1 does not trap);
+///   * the check front: one run's policy-resolved checks (CheckFront);
 ///   * the host-memory safety net (arena membership + tracked legacy
 ///     blocks) that keeps a buggy *guest* program from performing a
 ///     wild access on the *host*;
@@ -31,6 +32,7 @@
 #ifndef EFFECTIVE_INTERP_EXECSUPPORT_H
 #define EFFECTIVE_INTERP_EXECSUPPORT_H
 
+#include "api/PolicyFrontEnd.h"
 #include "core/Runtime.h"
 #include "ir/IR.h"
 
@@ -388,6 +390,75 @@ EFFSAN_ALWAYS_INLINE bool evalConvert(Value V, const TypeInfo *From,
   R = normalizeInt(R, To);
   return true;
 }
+
+//===----------------------------------------------------------------------===//
+// Check front
+//===----------------------------------------------------------------------===//
+
+/// The check opcodes' front end for one engine run: the runtime, the
+/// running thread's counter cell (found once per run), the base the
+/// module's site table was rebased to, and the run's CheckPolicy, read
+/// once when the run starts. Each check rebases its module-local site
+/// and switches on the run-constant policy into FrontEnd<P>
+/// (api/PolicyFrontEnd.h) inline: a branch that predicts perfectly,
+/// where the session API pays an indirect call per check. A run
+/// without a session is CheckPolicy::Full.
+class CheckFront {
+public:
+  CheckFront(Runtime &RT, CheckPolicy Policy)
+      : Cell(RT.counters()), To{RT, *Cell}, Policy(Policy) {}
+
+  /// Module load: registers \p M's site table, so every check the run
+  /// executes reports with source attribution. Keyed by the module's
+  /// process-unique uid: re-running the same module reuses the
+  /// registered range instead of burning a fresh one, and a later
+  /// module can never alias a destroyed one.
+  void loadSites(const ir::Module &M) {
+    if (M.numCheckSites() != 0)
+      SiteBase = To.RT.siteTables().registerTable(M.siteTable(), M.uid());
+  }
+
+  EFFSAN_ALWAYS_INLINE Bounds typeCheck(const void *P, const TypeInfo *Type,
+                                        SiteId Site) {
+    // Instrumented checks carry a dense per-module site; hand-built IR
+    // has none and takes the type-derived pseudo-site instead.
+    Site = Site == NoSite ? siteForType(Type) : rebase(Site);
+    return withFrontEnd(Policy, [&](auto FE) EFFSAN_LAMBDA_INLINE {
+      return FE.typeCheck(To, P, Type, Site);
+    });
+  }
+  EFFSAN_ALWAYS_INLINE Bounds boundsGet(const void *P, SiteId Site) {
+    Site = rebase(Site);
+    return withFrontEnd(Policy, [&](auto FE) EFFSAN_LAMBDA_INLINE {
+      return FE.boundsGet(To, P, Site);
+    });
+  }
+  EFFSAN_ALWAYS_INLINE void boundsCheck(const void *P, size_t Size, Bounds B,
+                                        SiteId Site) {
+    Site = rebase(Site);
+    withFrontEnd(Policy, [&](auto FE) EFFSAN_LAMBDA_INLINE {
+      FE.boundsCheck(To, P, Size, B, Site);
+    });
+  }
+  EFFSAN_ALWAYS_INLINE Bounds boundsNarrow(Bounds B, const void *Field,
+                                           size_t Size) {
+    return withFrontEnd(Policy, [&](auto FE) EFFSAN_LAMBDA_INLINE {
+      return FE.boundsNarrow(To, B, Field, Size);
+    });
+  }
+
+private:
+  /// Maps a module-local site id into the registered range (identity
+  /// for unsited checks and unregistered modules).
+  SiteId rebase(SiteId Site) const {
+    return (Site == NoSite || SiteBase == NoSite) ? Site : SiteBase + Site;
+  }
+
+  OwnedCell Cell;
+  CheckTarget To;
+  const CheckPolicy Policy;
+  SiteId SiteBase = NoSite;
+};
 
 //===----------------------------------------------------------------------===//
 // Host-memory safety net

@@ -35,25 +35,17 @@ using exec::Value;
 /// exceptions are not used anywhere in this project.
 class Interpreter {
 public:
-  /// When \p Session is non-null the check opcodes dispatch through it,
-  /// so the session's CheckPolicy governs what executed checks do;
+  /// The check opcodes run under \p Policy (see exec::CheckFront);
   /// memory management always goes straight to \p RT (allocation is
   /// policy-independent).
   Interpreter(const Module &M, Runtime &RT, const RunOptions &Opts,
-              Sanitizer *Session = nullptr)
-      : M(M), RT(RT), Session(Session),
-        Cell(RT.counters()), Target{RT, *Cell}, Opts(Opts), Guard(RT) {}
+              CheckPolicy Policy)
+      : M(M), RT(RT), Front(RT, Policy), Opts(Opts), Guard(RT) {}
 
   RunResult run(std::string_view Entry) {
     RunResult R;
     uint64_t IssuesBefore = RT.reporter().numIssues();
-    // Module load: hand the module's site table to the session, so
-    // every check this run executes reports with source attribution.
-    // Keyed by the module's process-unique uid — re-running the same
-    // module reuses the registered range instead of burning a fresh
-    // one, and a later module can never alias a destroyed one.
-    if (M.numCheckSites() != 0)
-      SiteBase = RT.siteTables().registerTable(M.siteTable(), M.uid());
+    Front.loadSites(M);
     Image.allocate(M, RT);
     if (const Function *Init = M.findFunction("__global_init"))
       callFunction(*Init, {});
@@ -302,24 +294,23 @@ private:
       case Opcode::TypeCheck:
         ++Checks.TypeChecks;
         BRegs[I.BDst] = Regs[I.A].P
-                            ? vmTypeCheck(Regs[I.A].P, I.Type, I.Site)
+                            ? Front.typeCheck(Regs[I.A].P, I.Type, I.Site)
                             : Bounds::wide();
         break;
       case Opcode::BoundsGet:
         ++Checks.BoundsGets;
         BRegs[I.BDst] = Regs[I.A].P
-                            ? vmBoundsGet(Regs[I.A].P, I.Site)
+                            ? Front.boundsGet(Regs[I.A].P, I.Site)
                             : Bounds::wide();
         break;
       case Opcode::BoundsCheck:
         ++Checks.BoundsChecks;
         if (Regs[I.A].P)
-          vmBoundsCheck(Regs[I.A].P, I.Imm, BRegs[I.BSrc], I.Site);
+          Front.boundsCheck(Regs[I.A].P, I.Imm, BRegs[I.BSrc], I.Site);
         break;
       case Opcode::BoundsNarrow:
         ++Checks.BoundsNarrows;
-        BRegs[I.BDst] =
-            vmBoundsNarrow(BRegs[I.BSrc], Regs[I.A].P, I.Imm);
+        BRegs[I.BDst] = Front.boundsNarrow(BRegs[I.BSrc], Regs[I.A].P, I.Imm);
         break;
       case Opcode::WideBounds:
         BRegs[I.BDst] = Bounds::wide();
@@ -348,53 +339,9 @@ private:
   }
 
   const Module &M;
-  /// \name Check dispatch.
-  /// Through the session when one is bound (its CheckPolicy governs
-  /// the checks), straight to the runtime otherwise.
-  /// @{
-  /// Maps a module-local site id into the session's registered range
-  /// (identity for unsited instructions and unregistered modules).
-  SiteId rebase(SiteId Site) const {
-    return (Site == NoSite || SiteBase == NoSite) ? Site
-                                                  : SiteBase + Site;
-  }
-
-  Bounds vmTypeCheck(const void *P, const TypeInfo *Type, SiteId Site) {
-    // Instrumented checks carry a dense per-module site (rebased into
-    // the session's registry); hand-built IR has none and takes the
-    // type-derived pseudo-site instead.
-    Site = Site == NoSite ? siteForType(Type) : rebase(Site);
-    return Session ? Session->typeCheck(P, Type, Site, Target)
-                   : RT.typeCheck(P, Type, Site, *Cell);
-  }
-  Bounds vmBoundsGet(const void *P, SiteId Site) {
-    Site = rebase(Site);
-    return Session ? Session->boundsGet(P, Site, Target)
-                   : RT.boundsGet(P, Site, *Cell);
-  }
-  void vmBoundsCheck(const void *P, size_t Size, Bounds B, SiteId Site) {
-    Site = rebase(Site);
-    if (Session)
-      Session->boundsCheck(P, Size, B, Site, Target);
-    else
-      RT.boundsCheck(P, Size, B, Site, *Cell);
-  }
-  Bounds vmBoundsNarrow(Bounds B, const void *Field, size_t Size) {
-    return Session ? Session->boundsNarrow(B, Field, Size, Target)
-                   : RT.boundsNarrow(B, Field, Size, *Cell);
-  }
-  /// @}
-
   Runtime &RT;
-  Sanitizer *Session;
-  /// The running thread's counter cell, found once per run, and the
-  /// session checks' target over it.
-  OwnedCell Cell;
-  CheckTarget Target;
+  exec::CheckFront Front;
   const RunOptions &Opts;
-  /// Base the module's site table was rebased to at load (NoSite when
-  /// the module has no sites).
-  SiteId SiteBase = NoSite;
 
   exec::HostGuard Guard;
   exec::ModuleImage Image;
@@ -410,13 +357,12 @@ private:
 } // namespace
 
 RunResult interp::run(const Module &M, Runtime &RT, const RunOptions &Opts,
-                      std::string_view Entry) {
-  Interpreter I(M, RT, Opts);
+                      std::string_view Entry, CheckPolicy Policy) {
+  Interpreter I(M, RT, Opts, Policy);
   return I.run(Entry);
 }
 
 RunResult interp::run(const Module &M, Sanitizer &Session,
                       const RunOptions &Opts, std::string_view Entry) {
-  Interpreter I(M, Session.runtime(), Opts, &Session);
-  return I.run(Entry);
+  return run(M, Session.runtime(), Opts, Entry, Session.policy());
 }

@@ -23,6 +23,7 @@
 #ifndef EFFECTIVE_INTERP_INTERP_H
 #define EFFECTIVE_INTERP_INTERP_H
 
+#include "api/CheckPolicy.h"
 #include "core/Runtime.h"
 #include "ir/IR.h"
 
@@ -70,14 +71,18 @@ struct RunResult {
   uint64_t IssuesReported = 0;
 };
 
-/// Executes \p M's entry function. Global objects are (re)allocated per
-/// run; the module may be executed repeatedly.
+/// Executes \p M's entry function with its check opcodes under
+/// \p Policy (CheckPolicy::Full: the paper's checks). Global objects
+/// are (re)allocated per run; the module may be executed repeatedly.
 RunResult run(const ir::Module &M, Runtime &RT,
               const RunOptions &Opts = RunOptions(),
-              std::string_view Entry = "main");
+              std::string_view Entry = "main",
+              CheckPolicy Policy = CheckPolicy::Full);
 
-/// Session-scoped execution: runs \p M against \p Session's runtime, so
-/// all checks, counters and reports stay inside that session.
+/// Session-scoped execution: runs \p M against \p Session's runtime
+/// under its policy, read once when the run starts (a setPolicy during
+/// the run takes effect at the next run), so all checks, counters and
+/// reports stay inside that session.
 RunResult run(const ir::Module &M, Sanitizer &Session,
               const RunOptions &Opts = RunOptions(),
               std::string_view Entry = "main");

@@ -23,13 +23,18 @@
 #define EFFSAN_ALWAYS_INLINE inline __attribute__((always_inline))
 #define EFFSAN_NOINLINE __attribute__((noinline))
 #define EFFSAN_CODE_ALIGN(N) __attribute__((aligned(N)))
+#define EFFSAN_LAMBDA_INLINE __attribute__((always_inline))
 #else
 #define EFFSAN_LIKELY(X) (X)
 #define EFFSAN_UNLIKELY(X) (X)
 #define EFFSAN_ALWAYS_INLINE inline
 #define EFFSAN_NOINLINE
 #define EFFSAN_CODE_ALIGN(N)
+#define EFFSAN_LAMBDA_INLINE
 #endif
+
+/// EFFSAN_LAMBDA_INLINE, after a lambda's parameter list, is
+/// EFFSAN_ALWAYS_INLINE for its call operator.
 
 /// EFFSAN_CODE_ALIGN(N) on a function definition starts its code on an
 /// N-byte boundary, so a hot loop's speed does not depend on how much

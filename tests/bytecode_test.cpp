@@ -13,12 +13,18 @@
 /// and off. Steps is deliberately *not* compared: a fused
 /// superinstruction executes as one bytecode step.
 ///
+/// The engine x policy matrix holds both engines to the same behaviour
+/// under every session CheckPolicy, and pins what each policy means;
+/// the policy contract pins that a run reads its session's policy once,
+/// when it starts.
+///
 /// Also here: the disassembler round trip (parse(disassemble(P))
 /// reproduces every instruction field-for-field) and a fusion
 /// smoke-test pinning that hot check+access pairs actually fuse.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "api/Sanitizer.h"
 #include "bytecode/Compiler.h"
 #include "bytecode/Disasm.h"
 #include "bytecode/VM.h"
@@ -27,8 +33,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace effective;
@@ -564,6 +575,298 @@ TEST(Differential, MissingEntryFaultMatches) {
   EXPECT_FALSE(TR.Ok);
   EXPECT_FALSE(BR.Ok);
   EXPECT_EQ(TR.Fault, BR.Fault);
+}
+
+//===----------------------------------------------------------------------===//
+// Engine x policy matrix
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A clean program that executes every check kind: calls, casts,
+/// nested struct fields (narrowing) and array indexing.
+const char *const CleanChecks = R"(
+struct point { int x; int y; };
+struct line { struct point a; struct point b; int weight[4]; };
+int span(struct line *l) { return l->b.x - l->a.x + l->b.y - l->a.y; }
+int main() {
+  struct line *ls = (struct line *)malloc(8 * sizeof(struct line));
+  int i;
+  int j;
+  int total = 0;
+  for (i = 0; i < 8; i = i + 1) {
+    ls[i].a.x = i;
+    ls[i].a.y = i * 2;
+    ls[i].b.x = i * 3;
+    ls[i].b.y = i * 5;
+    for (j = 0; j < 4; j = j + 1)
+      ls[i].weight[j] = i + j;
+  }
+  for (i = 0; i < 8; i = i + 1)
+    total = total + span(&ls[i]) * ls[i].weight[i % 4];
+  free(ls);
+  return total;
+}
+)";
+
+/// The benchmark corpus's defects program at fixed constants: a
+/// sub-object overflow, a used bad cast, a use after free at a callee's
+/// input check and a double free around a clean summing loop.
+const char *const Defects = R"(
+struct account { int number[8]; float balance; };
+struct node { int value; struct node *next; };
+int readValue(struct node *n) { return n->value; }
+int main() {
+  struct account *a = (struct account *)malloc(sizeof(struct account));
+  int i;
+  int total = 0;
+  for (i = 0; i < 8; i = i + 1)
+    a->number[i] = (i * 3 + 7) % 100;
+  for (i = 0; i < 500; i = i + 1)
+    total = (total + a->number[i % 8] * (i % 7)) % 1000003;
+  a->number[8] = 7;
+  int *p = (int *)malloc(4 * sizeof(int));
+  p[0] = 1;
+  float *q = (float *)p;
+  float f = *q;
+  struct node *n = (struct node *)malloc(sizeof(struct node));
+  n->value = 42;
+  free(n);
+  int stale = readValue(n);
+  free(p);
+  free(p);
+  free(a);
+  return total;
+}
+)";
+
+constexpr CheckPolicy AllPolicies[] = {
+    CheckPolicy::Full, CheckPolicy::BoundsOnly, CheckPolicy::TypeOnly,
+    CheckPolicy::CountOnly, CheckPolicy::Off};
+
+/// One engine run in a fresh session: the result, the report stream,
+/// per-kind issue counts and the session's counter delta.
+struct SessionRun {
+  interp::RunResult R;
+  std::vector<std::string> Msgs;
+  CheckCounters::Snapshot Delta;
+  uint64_t TypeErrors = 0;
+  uint64_t BoundsErrors = 0;
+  uint64_t UafErrors = 0;
+  uint64_t DoubleFrees = 0;
+};
+
+interp::RunResult runOn(Engine E, const CompileResult &C, Sanitizer &S) {
+  return E == Engine::Bytecode ? bytecode::run(*C.BC, S)
+                               : interp::run(*C.M, S);
+}
+
+SessionRun runInSession(TypeContext &Types, const CompileResult &C, Engine E,
+                        CheckPolicy Policy) {
+  SessionRun Out;
+  SessionOptions Opts;
+  Opts.Policy = Policy;
+  Opts.Reporter.Mode = ReportMode::Count;
+  Opts.Reporter.Callback = [](const ErrorInfo &, const char *Message,
+                              void *User) {
+    static_cast<std::vector<std::string> *>(User)->push_back(
+        normalizePointers(Message ? Message : ""));
+  };
+  Opts.Reporter.CallbackUserData = &Out.Msgs;
+  Sanitizer S(Types, Opts);
+  Out.R = runOn(E, C, S);
+  Out.Delta = S.counters().snapshot();
+  Out.TypeErrors = S.reporter().numIssues(ErrorKind::TypeError);
+  Out.BoundsErrors = S.reporter().numIssues(ErrorKind::BoundsError);
+  Out.UafErrors = S.reporter().numIssues(ErrorKind::UseAfterFree);
+  Out.DoubleFrees = S.reporter().numIssues(ErrorKind::DoubleFree);
+  return Out;
+}
+
+std::array<uint64_t, 7> countsOf(const CheckCounters::Snapshot &D) {
+  return {D.TypeChecks,        D.LegacyTypeChecks,   D.BoundsChecks,
+          D.BoundsNarrows,     D.BoundsGets,         D.TypeCheckCacheHits,
+          D.TypeCheckCacheMisses};
+}
+
+CompileResult compileOrFail(const char *Source, TypeContext &Types,
+                            Variant V) {
+  DiagnosticEngine Diags;
+  InstrumentOptions Opts;
+  Opts.V = V;
+  CompileResult C = compileMiniC(Source, Types, Diags, Opts);
+  for (const Diagnostic &D : Diags.diagnostics())
+    ADD_FAILURE() << D.Loc.Line << ":" << D.Loc.Column << ": " << D.Message;
+  return C;
+}
+
+} // namespace
+
+TEST(PolicyMatrix, EnginesAgreeAndEachPolicyMeansWhatItSays) {
+  const std::pair<const char *, const char *> Programs[] = {
+      {"clean", CleanChecks}, {"defects", Defects}};
+  for (const auto &[Name, Source] : Programs) {
+    for (Variant V : {Variant::Full, Variant::Bounds}) {
+      TypeContext Types;
+      CompileResult C = compileOrFail(Source, Types, V);
+      ASSERT_TRUE(C.M && C.BC) << Name;
+      for (CheckPolicy Policy : AllPolicies) {
+        std::string Label = std::string(Name) + " [" +
+                            std::string(variantName(V)) + ", " +
+                            std::string(checkPolicyName(Policy)) + "]";
+        SessionRun T = runInSession(Types, C, Engine::Tree, Policy);
+        SessionRun B = runInSession(Types, C, Engine::Bytecode, Policy);
+
+        EXPECT_TRUE(T.R.Ok) << Label << ": " << T.R.Fault;
+        EXPECT_EQ(T.R.Ok, B.R.Ok) << Label;
+        EXPECT_EQ(T.R.Fault, B.R.Fault) << Label;
+        EXPECT_EQ(T.R.ExitCode, B.R.ExitCode) << Label;
+        EXPECT_EQ(T.R.Output, B.R.Output) << Label;
+        EXPECT_EQ(T.R.Checks.TypeChecks, B.R.Checks.TypeChecks) << Label;
+        EXPECT_EQ(T.R.Checks.BoundsGets, B.R.Checks.BoundsGets) << Label;
+        EXPECT_EQ(T.R.Checks.BoundsChecks, B.R.Checks.BoundsChecks) << Label;
+        EXPECT_EQ(T.R.Checks.BoundsNarrows, B.R.Checks.BoundsNarrows)
+            << Label;
+        EXPECT_EQ(T.R.IssuesReported, B.R.IssuesReported) << Label;
+        EXPECT_EQ(T.Msgs, B.Msgs) << Label;
+        EXPECT_EQ(countsOf(T.Delta), countsOf(B.Delta)) << Label;
+
+        const interp::ExecutedChecks &X = T.R.Checks;
+        EXPECT_GT(X.TypeChecks + X.BoundsGets + X.BoundsChecks, 0u) << Label;
+        switch (Policy) {
+        case CheckPolicy::Off:
+          EXPECT_EQ(countsOf(T.Delta), countsOf({})) << Label;
+          break;
+        case CheckPolicy::CountOnly:
+          EXPECT_EQ(T.Delta.TypeChecks, X.TypeChecks) << Label;
+          EXPECT_EQ(T.Delta.BoundsGets, X.BoundsGets) << Label;
+          EXPECT_EQ(T.Delta.BoundsChecks, X.BoundsChecks) << Label;
+          EXPECT_EQ(T.Delta.BoundsNarrows, X.BoundsNarrows) << Label;
+          EXPECT_EQ(T.Delta.TypeCheckCacheHits + T.Delta.TypeCheckCacheMisses +
+                        T.Delta.LegacyTypeChecks,
+                    0u)
+              << Label;
+          // Checks report nothing; only free() itself still reports.
+          EXPECT_EQ(T.TypeErrors + T.BoundsErrors + T.UafErrors, 0u) << Label;
+          break;
+        case CheckPolicy::TypeOnly:
+          EXPECT_EQ(T.BoundsErrors, 0u) << Label;
+          break;
+        case CheckPolicy::BoundsOnly:
+          EXPECT_EQ(T.TypeErrors, 0u) << Label;
+          break;
+        case CheckPolicy::Full:
+          if (std::string_view(Name) == "clean") {
+            EXPECT_EQ(T.R.IssuesReported, 0u) << Label;
+          } else if (V == Variant::Full) {
+            EXPECT_TRUE(T.TypeErrors == 1 && T.BoundsErrors == 1 &&
+                        T.UafErrors == 1 && T.DoubleFrees == 1)
+                << Label << ": " << T.TypeErrors << " type, "
+                << T.BoundsErrors << " bounds, " << T.UafErrors << " uaf, "
+                << T.DoubleFrees << " double-free";
+          }
+          break;
+        }
+      }
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Per-run policy contract
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// What tells the five policies apart in one run's counter delta: the
+/// four check counts plus the type checks that really probed meta data
+/// (Full and CountOnly count alike; only Full probes).
+std::array<uint64_t, 5> signatureOf(const CheckCounters::Snapshot &D) {
+  return {D.TypeChecks, D.BoundsGets, D.BoundsChecks, D.BoundsNarrows,
+          D.TypeCheckCacheHits + D.TypeCheckCacheMisses +
+              D.LegacyTypeChecks};
+}
+
+std::array<uint64_t, 5> runDelta(Engine E, const CompileResult &C,
+                                 Sanitizer &S) {
+  CheckCounters::Snapshot Before = S.counters().snapshot();
+  EXPECT_TRUE(runOn(E, C, S).Ok);
+  CheckCounters::Snapshot After = S.counters().snapshot();
+  std::array<uint64_t, 5> A = signatureOf(After), B = signatureOf(Before);
+  for (size_t I = 0; I < A.size(); ++I)
+    A[I] -= B[I];
+  return A;
+}
+
+/// Each policy's signature for \p C on \p E, from fresh sessions.
+std::vector<std::array<uint64_t, 5>>
+expectedSignatures(TypeContext &Types, const CompileResult &C, Engine E) {
+  std::vector<std::array<uint64_t, 5>> Out;
+  for (CheckPolicy Policy : AllPolicies)
+    Out.push_back(signatureOf(runInSession(Types, C, E, Policy).Delta));
+  return Out;
+}
+
+SessionOptions quietSession() {
+  SessionOptions Opts;
+  Opts.Reporter.Mode = ReportMode::Count;
+  return Opts;
+}
+
+} // namespace
+
+TEST(PolicyContract, SetPolicyBetweenRunsTakesEffectAtTheNextRun) {
+  TypeContext Types;
+  CompileResult C = compileOrFail(Defects, Types, Variant::Full);
+  ASSERT_TRUE(C.M && C.BC);
+  for (Engine E : {Engine::Tree, Engine::Bytecode}) {
+    auto Expected = expectedSignatures(Types, C, E);
+    Sanitizer S(Types, quietSession());
+    for (size_t I = 0; I < std::size(AllPolicies); ++I) {
+      S.setPolicy(AllPolicies[I]);
+      EXPECT_EQ(runDelta(E, C, S), Expected[I])
+          << checkPolicyName(AllPolicies[I]);
+    }
+  }
+}
+
+TEST(PolicyContract, PolicyFlipsDuringRunsGiveEachRunOnePolicy) {
+  TypeContext Types;
+  CompileResult C = compileOrFail(Defects, Types, Variant::Full);
+  ASSERT_TRUE(C.M && C.BC);
+  for (Engine E : {Engine::Tree, Engine::Bytecode}) {
+    auto Expected = expectedSignatures(Types, C, E);
+    Sanitizer S(Types, quietSession());
+    std::atomic<bool> Stop{false};
+    std::atomic<uint64_t> Cycles{0};
+    std::thread Flipper([&] {
+      while (!Stop.load(std::memory_order_relaxed)) {
+        for (CheckPolicy Policy : AllPolicies)
+          S.setPolicy(Policy);
+        Cycles.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    // A run counts once the flipper advanced while it ran. The new
+    // thread may first share a CPU with this one, so keep running until
+    // enough runs overlapped a flip (or a time cap passes).
+    unsigned Mixed = 0, Overlapped = 0;
+    auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (Overlapped < 20 && std::chrono::steady_clock::now() < Deadline) {
+      uint64_t CyclesBefore = Cycles.load(std::memory_order_relaxed);
+      std::array<uint64_t, 5> Got = runDelta(E, C, S);
+      if (Cycles.load(std::memory_order_relaxed) == CyclesBefore)
+        continue;
+      ++Overlapped;
+      if (std::find(Expected.begin(), Expected.end(), Got) == Expected.end())
+        ++Mixed;
+    }
+    Stop.store(true, std::memory_order_relaxed);
+    Flipper.join();
+    const char *Name = E == Engine::Tree ? "tree" : "bytecode";
+    EXPECT_GT(Overlapped, 0u) << Name << ": no run overlapped a flip";
+    EXPECT_EQ(Mixed, 0u) << Name << ": runs whose counters mix policies, of "
+                         << Overlapped;
+  }
 }
 
 //===----------------------------------------------------------------------===//
