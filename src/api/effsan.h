@@ -1007,15 +1007,15 @@ void effsan_service_set_error_callback_v2(effsan_service *service,
  * magazine refill, quarantine budget, error-ring push, site
  * registration, drain-loop stall, snapshot delivery, governor pass).
  * Disarmed — the shipped default — every point costs one relaxed flag
- * load; a library built with EFFSAN_FAULT_OFF compiles the points out
- * entirely. The registry is process-wide (fault points live in layers
+ * load. The registry is process-wide (fault points live in layers
  * with no session context) and replays exactly: the same seed plus the
  * same schedule fires the same sequence. The EFFSAN_FAULTS environment
  * variable feeds the same spec grammar before main() — see
  * docs/RESILIENCE.md for the catalogue and replay workflow.
  *===--------------------------------------------------------------------===*/
 
-/* Nonzero when fault injection is compiled in (no EFFSAN_FAULT_OFF). */
+/* Always 1: fault points are part of every build. Kept for ABI
+ * compatibility. */
 int effsan_fault_compiled_in(void);
 
 /* Arms injection under `seed`: every point resets to off with zeroed
@@ -1055,9 +1055,8 @@ uint64_t effsan_fault_fires(uint32_t point);
 /*===--------------------------------------------------------------------===*/
 /* Observability (since 1.6)                                               */
 /*                                                                         */
-/* Three independently toggleable process-wide facilities, all of which    */
-/* cost one relaxed flag load on the hot path when off and nothing at all  */
-/* when the library was built with EFFSAN_OBS_OFF:                         */
+/* Three independently toggleable process-wide facilities, each of which  */
+/* costs one relaxed flag load on the hot path when off:                   */
 /*                                                                         */
 /*   - trace:   per-thread lock-free event rings recording runtime events  */
 /*              (check slow paths, magazine refills/flushes, quarantine    */
@@ -1076,18 +1075,17 @@ uint64_t effsan_fault_fires(uint32_t point);
 
 /* Replaces the process-wide observability flag set (a bitwise OR of the
  * EFFSAN_OBS_* flags above; unknown bits are ignored) and returns the
- * previous set. Takes effect immediately on every thread. Returns 0 and
- * does nothing when the library was built with EFFSAN_OBS_OFF.
+ * previous set. Takes effect immediately on every thread.
  *
  * Note effsan_obs_trace_start below sets EFFSAN_OBS_TRACE itself;
  * enabling the trace flag without a started tracer records nothing. */
 uint32_t effsan_obs_enable(uint32_t flags);
 
-/* The currently enabled flag set (0 under EFFSAN_OBS_OFF). */
+/* The currently enabled flag set. */
 uint32_t effsan_obs_flags(void);
 
-/* Nonzero when the library was built with observability compiled in
- * (i.e. without EFFSAN_OBS_OFF). */
+/* Always 1: observability is part of every build. Kept for ABI
+ * compatibility. */
 int effsan_obs_compiled_in(void);
 
 /* Starts a tracing session: discards any events from a previous
@@ -1095,8 +1093,7 @@ int effsan_obs_compiled_in(void);
  * (rounded up to a power of two; 0 = default 16384) and sets
  * EFFSAN_OBS_TRACE. Each thread that subsequently records an event
  * lazily registers its own ring; a full ring drops new events and
- * counts the drop rather than blocking. Returns nonzero on success, 0
- * under EFFSAN_OBS_OFF. */
+ * counts the drop rather than blocking. Always returns 1. */
 int effsan_obs_trace_start(uint32_t ring_capacity);
 
 /* Clears EFFSAN_OBS_TRACE. Already-recorded events remain exportable. */
@@ -1154,7 +1151,7 @@ typedef struct effsan_obs_site {
  * Profiling uses a fixed-size direct-mapped table: two sites hashing
  * to the same slot keep the first claimant (collisions are counted,
  * not chained), so the result is a statistical top-N, not an exact
- * one. Returns 0 under EFFSAN_OBS_OFF or when profiling never ran. */
+ * one. Returns 0 when profiling never ran. */
 uint32_t effsan_obs_hot_sites(effsan_session *session,
                               effsan_obs_site *out, uint32_t capacity);
 

@@ -39,7 +39,7 @@ uint32_t effsan_obs_enable(uint32_t flags) {
 
 uint32_t effsan_obs_flags(void) { return obs::flags(); }
 
-int effsan_obs_compiled_in(void) { return obs::compiledIn() ? 1 : 0; }
+int effsan_obs_compiled_in(void) { return 1; }
 
 int effsan_obs_trace_start(uint32_t ring_capacity) {
   size_t Cap = ring_capacity ? ring_capacity

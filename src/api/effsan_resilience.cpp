@@ -7,10 +7,7 @@
 /// The effsan_fault_* functions of the stable C ABI (api/effsan.h,
 /// since 1.9): thin translation onto the process-wide
 /// resilience::FaultRegistry. All functions are total — out-of-range
-/// point indices return 0/NULL rather than trapping — and everything
-/// keeps working (as inert no-ops reporting compiled_in == 0 and zero
-/// points armed... the registry still exists, points just never fire)
-/// when the library was built with EFFSAN_FAULT_OFF.
+/// point indices return 0/NULL rather than trapping.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,9 +21,7 @@ using resilience::NumFaultPointValues;
 
 extern "C" {
 
-int effsan_fault_compiled_in(void) {
-  return resilience::compiledIn() ? 1 : 0;
-}
+int effsan_fault_compiled_in(void) { return 1; }
 
 void effsan_fault_arm(uint64_t seed) {
   FaultRegistry::instance().arm(seed);

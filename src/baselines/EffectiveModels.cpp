@@ -14,6 +14,7 @@
 
 #include "baselines/ModelFactories.h"
 
+#include "api/CheckPolicy.h"
 #include "core/Runtime.h"
 #include "support/Compiler.h"
 
@@ -50,13 +51,12 @@ private:
   std::unordered_set<void *> Owned;
 };
 
-/// Which parts of the Figure 3 schema a variant keeps.
-enum class Variant { Full, BoundsOnly, TypeOnly };
-
+/// One EffectiveSan variant: the session CheckPolicy (Full, BoundsOnly
+/// or TypeOnly) decides which parts of the Figure 3 schema it keeps.
 class EffectiveSanModel final : public SanitizerModel {
 public:
-  EffectiveSanModel(const char *Name, Variant V, TypeContext &Ctx)
-      : Name(Name), V(V), RT(Ctx, countingOptions()) {}
+  EffectiveSanModel(const char *Name, CheckPolicy Policy, TypeContext &Ctx)
+      : Name(Name), Policy(Policy), RT(Ctx, countingOptions()) {}
 
   const char *name() const override { return Name; }
 
@@ -72,7 +72,7 @@ public:
   }
 
   void access(const AccessInfo &Info) override {
-    if (V == Variant::TypeOnly)
+    if (Policy == CheckPolicy::TypeOnly)
       return; // EffectiveSan-type instruments casts only.
     uint64_t Before = RT.reporter().numEvents();
     // Rules (a)-(d): the input pointer (the sub-object base for
@@ -80,11 +80,12 @@ public:
     // and yields bounds...
     const void *Input =
         Info.SubObjectPtr ? Info.SubObjectPtr : Info.AllocPtr;
-    Bounds B = V == Variant::Full
+    Bounds B = Policy == CheckPolicy::Full
                    ? RT.typeCheck(Input, Info.StaticType)
                    : RT.boundsGet(Input);
-    // ...rule (e): field selection narrows...
-    if (Info.SubObjectPtr)
+    // ...rule (e): field selection narrows (EffectiveSan-bounds keeps
+    // allocation bounds)...
+    if (Info.SubObjectPtr && Policy == CheckPolicy::Full)
       B = RT.boundsNarrow(B, Info.SubObjectPtr, Info.SubObjectSize);
     // ...rule (g): the (derived) access is bounds checked.
     RT.boundsCheck(Info.Ptr, Info.Size, B);
@@ -92,7 +93,7 @@ public:
   }
 
   void cast(const CastInfo &Info) override {
-    if (V == Variant::BoundsOnly)
+    if (Policy == CheckPolicy::BoundsOnly)
       return; // Casts carry no extra check without type comparison.
     uint64_t Before = RT.reporter().numEvents();
     RT.typeCheck(Info.Ptr, Info.ToType); // Rule (d).
@@ -143,7 +144,7 @@ private:
   }
 
   const char *Name;
-  Variant V;
+  CheckPolicy Policy;
   Runtime RT;
   uint64_t NextToken = 0;
   std::unordered_map<void *, size_t> StackMarks;
@@ -159,13 +160,13 @@ effective::baselines::createEffectiveModel(ModelKind Kind,
     return std::make_unique<NoneModel>();
   case ModelKind::EffectiveSan:
     return std::make_unique<EffectiveSanModel>("EffectiveSan",
-                                               Variant::Full, Ctx);
+                                               CheckPolicy::Full, Ctx);
   case ModelKind::EffectiveSanBounds:
     return std::make_unique<EffectiveSanModel>("EffectiveSan-bounds",
-                                               Variant::BoundsOnly, Ctx);
+                                               CheckPolicy::BoundsOnly, Ctx);
   case ModelKind::EffectiveSanType:
     return std::make_unique<EffectiveSanModel>("EffectiveSan-type",
-                                               Variant::TypeOnly, Ctx);
+                                               CheckPolicy::TypeOnly, Ctx);
   default:
     EFFSAN_UNREACHABLE("not an EffectiveSan model kind");
   }

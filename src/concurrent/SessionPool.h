@@ -163,8 +163,8 @@ public:
   /// by site id (a site checked from several shards contributes ONE
   /// entry carrying pool-total hits/misses), ordered by hits+misses
   /// descending and truncated to \p N. Callers resolve the ids against
-  /// siteTables() once — not per shard. Empty when profiling never ran
-  /// (or observability is compiled out).
+  /// siteTables() once — not per shard. Empty when profiling never
+  /// ran.
   std::vector<obs::SiteProfile> mergedHotSites(size_t N) const;
 
   /// The shared sharded heap.

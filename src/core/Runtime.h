@@ -205,8 +205,7 @@ public:
     // false 1023 times in 1024 whether or not metrics are armed, so
     // arming changes the executed instruction stream only on the
     // sampled checks (the flag load moves off the common path
-    // entirely). With observability compiled out the whole test folds
-    // to nothing.
+    // entirely).
     uint64_t NChecks = Cell.bump(Cell.TypeChecks);
     if (EFFSAN_UNLIKELY((NChecks & obs::CheckSampleMask) == 0 &&
                         obs::metricsActive()))
@@ -451,8 +450,8 @@ private:
   const TypeInfo *VoidPtrType;
   /// The site-indexed type-check inline cache (see core/SiteCache.h).
   SiteCache Cache;
-  /// Hot check-site hit/miss counters (observability layer; zero-size
-  /// and never touched when EFFSAN_OBS_OFF).
+  /// Hot check-site hit/miss counters (observability layer; the table
+  /// is allocated on the first profiled check).
   obs::SiteProfiler Prof;
   /// Site attribution: private registry unless the options injected a
   /// shared (pool-wide) one. Survives reset() — attribution metadata

@@ -50,8 +50,6 @@ public:
   /// is allocated on the first note, so a session that never profiles
   /// pays no memory for it.
   explicit SiteProfiler(size_t Slots = DefaultSlots) {
-    if (!compiledIn())
-      return; // Zero slots: note*() bail on the empty table.
     size_t P = 64;
     while (P < Slots)
       P <<= 1;

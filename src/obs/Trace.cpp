@@ -13,7 +13,6 @@
 namespace effective {
 namespace obs {
 
-#ifndef EFFSAN_OBS_OFF
 namespace detail {
 std::atomic<uint32_t> GlobalFlags{0};
 } // namespace detail
@@ -23,7 +22,6 @@ uint32_t setFlags(uint32_t Flags) {
   detail::GlobalFlags.store(Masked, std::memory_order_relaxed);
   return Masked;
 }
-#endif
 
 const char *eventKindName(EventKind Kind) {
   switch (Kind) {
@@ -168,8 +166,6 @@ void Tracer::record(EventKind Kind, uint16_t Shard, uint64_t Arg,
 }
 
 bool Tracer::start(size_t RingCapacity) {
-  if (!compiledIn())
-    return false;
   std::lock_guard<std::mutex> CG(CollectLock);
   {
     std::lock_guard<std::mutex> RG(RegLock);
@@ -196,17 +192,13 @@ bool Tracer::start(size_t RingCapacity) {
   Collected.clear();
   CollectDropped.store(0, std::memory_order_relaxed);
   RetiredDropped.store(0, std::memory_order_relaxed);
-#ifndef EFFSAN_OBS_OFF
   detail::GlobalFlags.fetch_or(TraceFlag, std::memory_order_relaxed);
-#endif
   return true;
 }
 
 void Tracer::stop() {
-#ifndef EFFSAN_OBS_OFF
   detail::GlobalFlags.fetch_and(~uint32_t(TraceFlag),
                                 std::memory_order_relaxed);
-#endif
 }
 
 void Tracer::collectLocked() {

@@ -17,9 +17,6 @@
 ///     branch on every instrumented path — no TLS lookup, no call.
 ///  2. An enabled writer NEVER blocks: a full ring counts a drop and
 ///     returns. Writers are wait-free (one relaxed load + two stores).
-///  3. `EFFSAN_OBS_OFF` compiles every instrumentation site out
-///     entirely (the flag accessors become constant-false inlines, so
-///     `EFFSAN_OBS_EVENT` is dead code the optimizer deletes).
 ///
 /// Timestamps are raw TSC ticks (`rdtsc` on x86; a steady_clock
 /// nanosecond counter elsewhere). Each Tracer records a two-point
@@ -75,14 +72,9 @@ inline constexpr uint64_t CheckSampleMask = 1023;
 /// uniformly), and a site's true hit count is approximately Hits * 16.
 inline constexpr uint64_t ProfileSampleMask = 15;
 
-#ifndef EFFSAN_OBS_OFF
-
 namespace detail {
 extern std::atomic<uint32_t> GlobalFlags;
 } // namespace detail
-
-/// True when observability support is compiled into this build.
-constexpr bool compiledIn() { return true; }
 
 EFFSAN_ALWAYS_INLINE uint32_t flags() {
   return detail::GlobalFlags.load(std::memory_order_relaxed);
@@ -93,17 +85,6 @@ EFFSAN_ALWAYS_INLINE bool profileActive() { return flags() & ProfileFlag; }
 
 /// Replace the global flag word; returns the flags now in effect.
 uint32_t setFlags(uint32_t Flags);
-
-#else // EFFSAN_OBS_OFF
-
-constexpr bool compiledIn() { return false; }
-constexpr uint32_t flags() { return 0; }
-constexpr bool traceActive() { return false; }
-constexpr bool metricsActive() { return false; }
-constexpr bool profileActive() { return false; }
-inline uint32_t setFlags(uint32_t) { return 0; }
-
-#endif // EFFSAN_OBS_OFF
 
 //===----------------------------------------------------------------------===//
 // Clock
@@ -263,7 +244,7 @@ public:
 
   /// Arm tracing: drop any stale buffered events, reset drop counters,
   /// size new rings at \p RingCapacity slots, and set TraceFlag.
-  /// Returns false when observability is compiled out.
+  /// Always returns true.
   bool start(size_t RingCapacity = DefaultRingCapacity);
 
   /// Disarm tracing (clears TraceFlag). Buffered + in-ring events stay
@@ -332,8 +313,7 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Record an instant event when tracing is armed. Costs one relaxed
-/// load + predicted-untaken branch when idle; compiles out entirely
-/// under EFFSAN_OBS_OFF (traceActive() is constant false).
+/// load + predicted-untaken branch when idle.
 #define EFFSAN_OBS_EVENT(KIND, SHARD, ARG)                                     \
   do {                                                                         \
     if (EFFSAN_UNLIKELY(::effective::obs::traceActive()))                      \

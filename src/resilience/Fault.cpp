@@ -17,9 +17,7 @@
 using namespace effective;
 using namespace effective::resilience;
 
-#ifndef EFFSAN_FAULT_OFF
 std::atomic<uint32_t> resilience::detail::FaultsArmed{0};
-#endif
 
 namespace {
 
@@ -60,23 +58,15 @@ void FaultRegistry::arm(uint64_t NewSeed) {
     S.Fires.store(0, std::memory_order_relaxed);
     S.Rng.store(mixSeed(NewSeed, I), std::memory_order_relaxed);
   }
-#ifndef EFFSAN_FAULT_OFF
   detail::FaultsArmed.store(1, std::memory_order_relaxed);
-#endif
 }
 
 void FaultRegistry::disarm() {
-#ifndef EFFSAN_FAULT_OFF
   detail::FaultsArmed.store(0, std::memory_order_relaxed);
-#endif
 }
 
 bool FaultRegistry::armed() const {
-#ifndef EFFSAN_FAULT_OFF
   return detail::FaultsArmed.load(std::memory_order_relaxed) != 0;
-#else
-  return false;
-#endif
 }
 
 void FaultRegistry::configure(FaultPoint Point, const FaultConfig &Config) {

@@ -16,10 +16,7 @@
 ///
 ///  1. A disarmed fault point costs one relaxed atomic load and a
 ///     predicted-untaken branch — no call, no TLS, no fence.
-///  2. `EFFSAN_FAULT_OFF` compiles every fault point out entirely
-///     (`EFFSAN_FAULT(...)` becomes the constant `false`, dead code the
-///     optimizer deletes), for builds that must carry zero surface.
-///  3. Armed evaluation is wait-free: per-point relaxed counters and a
+///  2. Armed evaluation is wait-free: per-point relaxed counters and a
 ///     racy-by-design xorshift stream (exact replay is guaranteed for
 ///     single-threaded drives; concurrent drives stay data-race-free
 ///     and statistically faithful).
@@ -80,26 +77,14 @@ struct FaultConfig {
   uint64_t After = 0;
 };
 
-#ifndef EFFSAN_FAULT_OFF
-
 namespace detail {
 extern std::atomic<uint32_t> FaultsArmed;
 } // namespace detail
-
-/// True when fault injection is compiled into this build.
-constexpr bool compiledIn() { return true; }
 
 /// The one relaxed load every disarmed fault point costs.
 EFFSAN_ALWAYS_INLINE bool faultsArmed() {
   return detail::FaultsArmed.load(std::memory_order_relaxed) != 0;
 }
-
-#else // EFFSAN_FAULT_OFF
-
-constexpr bool compiledIn() { return false; }
-constexpr bool faultsArmed() { return false; }
-
-#endif // EFFSAN_FAULT_OFF
 
 /// Process-wide fault-point registry: per-point trigger configuration,
 /// evaluation/fire counters, and the seeded PRNG streams. All state is
@@ -174,18 +159,13 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Evaluates to true when the named fault point fires. Costs one
-/// relaxed load + predicted-untaken branch while disarmed; the constant
-/// `false` (no surface at all) under EFFSAN_FAULT_OFF.
+/// relaxed load + predicted-untaken branch while disarmed.
 ///
 ///   if (EFFSAN_FAULT(HeapMagazineRefill))
 ///     return false; // induced refill failure
-#ifndef EFFSAN_FAULT_OFF
 #define EFFSAN_FAULT(POINT)                                                    \
   (EFFSAN_UNLIKELY(::effective::resilience::faultsArmed()) &&                  \
    ::effective::resilience::FaultRegistry::instance().shouldFire(              \
        ::effective::resilience::FaultPoint::POINT))
-#else
-#define EFFSAN_FAULT(POINT) (false)
-#endif
 
 #endif // EFFECTIVE_RESILIENCE_FAULT_H

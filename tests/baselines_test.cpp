@@ -239,11 +239,15 @@ TEST(Figure1, EffectiveSanVariantsRows) {
       << "the -type variant drops pointer-use instrumentation";
   EXPECT_FALSE(TypeO["object-overflow"]);
 
-  // EffectiveSan-bounds: object bounds + temporal via FREE, no types.
+  // EffectiveSan-bounds: allocation bounds + temporal via FREE, no
+  // types and no sub-object narrowing.
   MatrixRow BoundsRow = evaluateModel(ModelKind::EffectiveSanBounds);
   EXPECT_EQ(BoundsRow.typesCapability(), Capability::None);
+  EXPECT_EQ(BoundsRow.boundsCapability(), Capability::Partial);
   auto BoundsO = outcomesFor(ModelKind::EffectiveSanBounds);
   EXPECT_TRUE(BoundsO["object-overflow"]);
+  EXPECT_FALSE(BoundsO["subobject-overflow"])
+      << "the -bounds variant checks allocation bounds only";
   EXPECT_TRUE(BoundsO["use-after-free"]);
   EXPECT_FALSE(BoundsO["bad-downcast"]);
 }

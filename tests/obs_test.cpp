@@ -16,10 +16,6 @@
 /// mirror agrees with the legacy CheckCounters / heap stats, and the
 /// effsan_obs_* C ABI (since 1.6).
 ///
-/// Everything that records real data is gated on obs::compiledIn() so
-/// the suite still passes (vacuously where it must) under
-/// -DEFFSAN_OBS_OFF=ON.
-///
 //===----------------------------------------------------------------------===//
 
 #include "obs/Metrics.h"
@@ -135,8 +131,6 @@ TEST(TraceRingTest, FullRingDropsAndCounts) {
 //===----------------------------------------------------------------------===//
 
 TEST(TracerTest, RecordCollectExportChromeJson) {
-  if (!obs::compiledIn())
-    GTEST_SKIP() << "built with EFFSAN_OBS_OFF";
   ObsQuiesce Quiesce;
   obs::Tracer &T = obs::Tracer::instance();
   ASSERT_TRUE(T.start());
@@ -175,8 +169,6 @@ TEST(TracerTest, RecordCollectExportChromeJson) {
 }
 
 TEST(TracerTest, StartDropsStaleEventsFromThePreviousRun) {
-  if (!obs::compiledIn())
-    GTEST_SKIP() << "built with EFFSAN_OBS_OFF";
   ObsQuiesce Quiesce;
   obs::Tracer &T = obs::Tracer::instance();
   ASSERT_TRUE(T.start());
@@ -211,8 +203,6 @@ TEST(TracerTest, EventKindTablesCoverEveryKind) {
 /// main thread collects concurrently. Small rings force the drop path
 /// too. Runs under -fsanitize=thread in the CI tsan job.
 TEST(TracerStormTest, ConcurrentRecordersAndCollector) {
-  if (!obs::compiledIn())
-    GTEST_SKIP() << "built with EFFSAN_OBS_OFF";
   ObsQuiesce Quiesce;
   obs::Tracer &T = obs::Tracer::instance();
   ASSERT_TRUE(T.start(/*RingCapacity=*/256));
@@ -334,8 +324,6 @@ TEST(MetricsTest, RenderEmitsPrometheusTextExposition) {
 //===----------------------------------------------------------------------===//
 
 TEST(SiteProfilerTest, CountsAndRanksSites) {
-  if (!obs::compiledIn())
-    GTEST_SKIP() << "built with EFFSAN_OBS_OFF";
   obs::SiteProfiler Prof(/*Slots=*/256);
   for (int I = 0; I < 30; ++I)
     Prof.noteHit(5);
@@ -359,8 +347,6 @@ TEST(SiteProfilerTest, CountsAndRanksSites) {
 }
 
 TEST(SiteProfilerTest, DirectMapCollisionsAreCountedNotChained) {
-  if (!obs::compiledIn())
-    GTEST_SKIP() << "built with EFFSAN_OBS_OFF";
   // 64 slots: sites 0 and 64 both hash (Fibonacci, odd multiplier) to
   // slot 0, so the second claimant is dropped and counted.
   obs::SiteProfiler Prof(/*Slots=*/64);
@@ -376,8 +362,6 @@ TEST(SiteProfilerTest, DirectMapCollisionsAreCountedNotChained) {
 }
 
 TEST(SiteProfilerTest, FirstNotesRaceToPublishOneTable) {
-  if (!obs::compiledIn())
-    GTEST_SKIP() << "built with EFFSAN_OBS_OFF";
   // The table is allocated by the first note; racing first notes must
   // agree on one table, so no thread's counts land in a discarded one.
   obs::SiteProfiler Prof(/*Slots=*/256);
@@ -403,8 +387,6 @@ TEST(SiteProfilerTest, FirstNotesRaceToPublishOneTable) {
 //===----------------------------------------------------------------------===//
 
 TEST(ObsRuntimeTest, LatencySamplerFillsTheGlobalHistograms) {
-  if (!obs::compiledIn())
-    GTEST_SKIP() << "built with EFFSAN_OBS_OFF";
   ObsQuiesce Quiesce;
   uint64_t FastBefore = obs::checkFastLatency().count();
   uint64_t SlowBefore = obs::checkSlowLatency().count();
@@ -428,8 +410,6 @@ TEST(ObsRuntimeTest, LatencySamplerFillsTheGlobalHistograms) {
 }
 
 TEST(ObsRuntimeTest, ProfilerAttributesHitsAndMissesToTheSite) {
-  if (!obs::compiledIn())
-    GTEST_SKIP() << "built with EFFSAN_OBS_OFF";
   ObsQuiesce Quiesce;
   Sanitizer S(TypeContext::global(), quietSession());
   TypeContext &Ctx = S.types();
@@ -453,8 +433,6 @@ TEST(ObsRuntimeTest, ProfilerAttributesHitsAndMissesToTheSite) {
 }
 
 TEST(ObsRuntimeTest, CacheMissesEmitCheckSlowPathTraceEvents) {
-  if (!obs::compiledIn())
-    GTEST_SKIP() << "built with EFFSAN_OBS_OFF";
   ObsQuiesce Quiesce;
   Sanitizer S(TypeContext::global(), quietSession());
   TypeContext &Ctx = S.types();
@@ -475,8 +453,6 @@ TEST(ObsRuntimeTest, ServiceRunTracesAtLeastThreeLayers) {
   // allocation burst deep enough to turn the TLS magazine over, and
   // forced drain ticks, then a tenant close. Its Chrome trace must be
   // one timeline across the runtime's layers, not one layer's events.
-  if (!obs::compiledIn())
-    GTEST_SKIP() << "built with EFFSAN_OBS_OFF";
   ObsQuiesce Quiesce;
   ServiceOptions Options;
   Options.Shards = 1;
@@ -560,8 +536,7 @@ TEST(ObsDifferentialTest, ServiceMetricsAgreeWithLegacyStats) {
   Sup.tick();
 
   // metricsText() refreshes the mirror unconditionally (the obs flag
-  // only gates the per-tick refresh), so this holds with obs disarmed
-  // and under EFFSAN_OBS_OFF alike.
+  // only gates the per-tick refresh), so this holds with obs disarmed.
   std::string Text = Sup.metricsText();
   ServiceStats S = Sup.stats();
   auto C = Sup.pool().shard(0).counters().snapshot();
@@ -601,25 +576,12 @@ void appendWrite(const char *Data, size_t Len, void *UserData) {
 
 } // namespace
 
-TEST(ObsAbiTest, VersionAndCompiledInAgreeWithTheBuild) {
+TEST(ObsAbiTest, VersionAndCompiledIn) {
   EXPECT_GE(EFFSAN_ABI_VERSION_MINOR, 6);
-  EXPECT_EQ(effsan_obs_compiled_in() != 0, obs::compiledIn());
-}
-
-TEST(ObsAbiTest, CompiledInFollowsTheBuildSwitch) {
-#ifdef EFFSAN_OBS_OFF
-  EXPECT_EQ(effsan_obs_compiled_in(), 0);
-#else
   EXPECT_EQ(effsan_obs_compiled_in(), 1);
-#endif
 }
 
 TEST(ObsAbiTest, EnableReturnsThePreviousSet) {
-  if (!obs::compiledIn()) {
-    EXPECT_EQ(effsan_obs_enable(EFFSAN_OBS_METRICS), 0u);
-    EXPECT_EQ(effsan_obs_flags(), 0u) << "no-op when compiled out";
-    return;
-  }
   ObsQuiesce Quiesce;
   EXPECT_EQ(effsan_obs_enable(EFFSAN_OBS_METRICS), 0u);
   EXPECT_EQ(effsan_obs_flags(), uint32_t(EFFSAN_OBS_METRICS));
@@ -637,10 +599,6 @@ TEST(ObsAbiTest, EnableReturnsThePreviousSet) {
 }
 
 TEST(ObsAbiTest, TraceRoundTripThroughTheCallback) {
-  if (!obs::compiledIn()) {
-    EXPECT_EQ(effsan_obs_trace_start(0), 0);
-    return;
-  }
   ObsQuiesce Quiesce;
   ASSERT_NE(effsan_obs_trace_start(/*ring_capacity=*/0), 0);
   EXPECT_NE(effsan_obs_flags() & EFFSAN_OBS_TRACE, 0u)
@@ -667,11 +625,6 @@ TEST(ObsAbiTest, TraceRoundTripThroughTheCallback) {
 }
 
 TEST(ObsAbiTest, HotSitesResolveThroughTheSiteTable) {
-  if (!obs::compiledIn()) {
-    effsan_obs_site Sites[1];
-    EXPECT_EQ(effsan_obs_hot_sites(nullptr, Sites, 1), 0u);
-    return;
-  }
   ObsQuiesce Quiesce;
   effsan_options Options;
   effsan_options_init(&Options);
@@ -724,8 +677,6 @@ TEST(ObsAbiTest, HotSitesResolveThroughTheSiteTable) {
 TEST(ObsAbiTest, MetricsRenderProducesPrometheusText) {
   // Force the latency histograms into the global registry so the
   // render has something to say even before any check was sampled.
-  // (Under EFFSAN_OBS_OFF the sampler never runs, so the registry may
-  // be empty — render must still be a safe no-op.)
   obs::checkFastLatency();
   std::string Global;
   effsan_obs_metrics_render(appendWrite, &Global);
@@ -758,13 +709,6 @@ TEST(ObsAbiTest, PoolHotSitesMergeAcrossShards) {
   Options.shards = 2;
   effsan_pool *Pool = effsan_pool_create(&Options);
   ASSERT_NE(Pool, nullptr);
-
-  if (!obs::compiledIn()) {
-    effsan_obs_site Sites[1];
-    EXPECT_EQ(effsan_pool_hot_sites(Pool, Sites, 1), 0u);
-    effsan_pool_destroy(Pool);
-    return;
-  }
   ObsQuiesce Quiesce;
 
   effsan_session *S0 = effsan_pool_shard(Pool, 0);

@@ -21,8 +21,7 @@
 /// run back to back, so slow drift (frequency scaling, noisy
 /// neighbours) cancels inside a pair; they take turns running first, so
 /// neither profits from the other's warm-up; and outlier pairs drop out
-/// of the median. The obs and fault gates skip in their compile-out
-/// builds, where both passes would run identical code.
+/// of the median.
 ///
 /// Timing means nothing under sanitizers or next to other tests, so
 /// this binary is built in every configuration but is not registered
@@ -112,8 +111,6 @@ private:
 } // namespace
 
 TEST(PerfGates, ArmedObservabilityCostsAtMostThreePercent) {
-  if (!obs::compiledIn())
-    GTEST_SKIP() << "built with EFFSAN_OBS_OFF";
   auto Arm = [] {
     obs::Tracer::instance().start();
     obs::setFlags(obs::TraceFlag | obs::MetricsFlag | obs::ProfileFlag);
@@ -146,8 +143,6 @@ TEST(PerfGates, ArmedObservabilityCostsAtMostThreePercent) {
 }
 
 TEST(PerfGates, DisarmedFaultPointsCostAtMostOnePercent) {
-  if (!resilience::compiledIn())
-    GTEST_SKIP() << "built with EFFSAN_FAULT_OFF";
   resilience::FaultRegistry &Faults = resilience::FaultRegistry::instance();
   SpecMix Mix;
   // Armed with every point Off: each point reads its mode and counts

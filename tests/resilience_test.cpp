@@ -254,8 +254,6 @@ TEST(FaultMacroTest, DisarmedPointNeverFires) {
 //===----------------------------------------------------------------------===//
 
 TEST(FaultCatalogueTest, EveryPointFiresThroughItsLayer) {
-  if (!resilience::compiledIn())
-    GTEST_SKIP() << "EFFSAN_FAULT_OFF build: no fault points compiled in";
   FaultScope Scope;
   bool Fired[NumFaultPointValues] = {};
   auto Record = [&](FaultPoint P) {
@@ -387,8 +385,6 @@ void collectOutput(const char *Data, size_t Len, void *UserData) {
 }
 
 TEST(GracefulAllocTest, NullCheckedSweepIsDeterministicOnBothEngines) {
-  if (!resilience::compiledIn())
-    GTEST_SKIP() << "EFFSAN_FAULT_OFF build: no fault points compiled in";
   FaultScope Scope;
   // A SPEC-style mix that checks every malloc for null: under a 1-in-N
   // allocation-failure fault the run must complete cleanly, count its
@@ -454,8 +450,6 @@ int main() {
 }
 
 TEST(GracefulAllocTest, UncheckedNullDereferenceFaultsCleanly) {
-  if (!resilience::compiledIn())
-    GTEST_SKIP() << "EFFSAN_FAULT_OFF build: no fault points compiled in";
   FaultScope Scope;
   // The anti-test: a program that does NOT check malloc. The induced
   // null must surface as a clean engine fault (a "null store"), never
@@ -493,8 +487,6 @@ int main() {
 //===----------------------------------------------------------------------===//
 
 TEST(RingBackpressureTest, FallbackDeliversEveryEventWhenRingStaysFull) {
-  if (!resilience::compiledIn())
-    GTEST_SKIP() << "EFFSAN_FAULT_OFF build: no fault points compiled in";
   FaultScope Scope;
   concurrent::SessionPool Pool(quietPool(1));
   ASSERT_TRUE(Faults().configureFromSpec("seed=21;ring_full=every:1"));
@@ -538,8 +530,6 @@ TEST(RingBackpressureTest, OptInDropIsBoundedAndAccounted) {
 //===----------------------------------------------------------------------===//
 
 TEST(WatchdogTest, RestartsKilledDrainerWithoutLosingEvents) {
-  if (!resilience::compiledIn())
-    GTEST_SKIP() << "EFFSAN_FAULT_OFF build: no fault points compiled in";
   FaultScope Scope;
   ServiceOptions Options = quietService(1);
   Options.WatchdogIntervalMicros = 1000;
@@ -582,8 +572,6 @@ TEST(WatchdogTest, RestartsKilledDrainerWithoutLosingEvents) {
 }
 
 TEST(WatchdogTest, RestartBudgetExhaustionLatchesCriticalAndEscalates) {
-  if (!resilience::compiledIn())
-    GTEST_SKIP() << "EFFSAN_FAULT_OFF build: no fault points compiled in";
   FaultScope Scope;
   static std::atomic<unsigned> Escalations{0};
   Escalations = 0;
@@ -667,7 +655,7 @@ TEST(SnapshotTest, JsonCarriesHealthAndResilienceCounters) {
 
 TEST(ResilienceAbiTest, FaultControlsRoundTrip) {
   FaultScope Scope;
-  EXPECT_EQ(effsan_fault_compiled_in() != 0, resilience::compiledIn());
+  EXPECT_EQ(effsan_fault_compiled_in(), 1);
   ASSERT_EQ(effsan_fault_num_points(), NumFaultPointValues);
   EXPECT_STREQ(effsan_fault_point_name(0), "heap_exhausted");
   EXPECT_STREQ(effsan_fault_point_name(NumFaultPointValues - 1),
@@ -678,8 +666,7 @@ TEST(ResilienceAbiTest, FaultControlsRoundTrip) {
 
   effsan_fault_arm(77);
   EXPECT_EQ(effsan_fault_seed(), 77u);
-  if (resilience::compiledIn())
-    EXPECT_NE(effsan_fault_armed(), 0);
+  EXPECT_NE(effsan_fault_armed(), 0);
   effsan_fault_disarm();
   EXPECT_EQ(effsan_fault_armed(), 0);
 
@@ -691,17 +678,7 @@ TEST(ResilienceAbiTest, FaultControlsRoundTrip) {
   EXPECT_EQ(effsan_fault_configure(nullptr), 0);
 }
 
-TEST(ResilienceAbiTest, CompiledInFollowsTheBuildSwitch) {
-#ifdef EFFSAN_FAULT_OFF
-  EXPECT_EQ(effsan_fault_compiled_in(), 0);
-#else
-  EXPECT_EQ(effsan_fault_compiled_in(), 1);
-#endif
-}
-
 TEST(ResilienceAbiTest, ResourceExhaustionSurfacesThroughTheAbi) {
-  if (!effsan_fault_compiled_in())
-    GTEST_SKIP() << "EFFSAN_FAULT_OFF build: no fault points compiled in";
   FaultScope Scope;
   effsan_options Options;
   effsan_options_init(&Options);
